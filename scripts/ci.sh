@@ -147,9 +147,11 @@ PYEOF
       )
       # The sanitized stage concentrates on the concurrency-heavy
       # surfaces (registry races, admin server, health tracker, the
-      # reactor and TCP transport); the plain stages run everything.
-      # -L is a regex: this selects both label families.
-      ctest_args+=(-L 'observability|net')
+      # reactor and TCP transport) and on the index descents (grid,
+      # R-tree, LSR-Forest, silo per-cell answers, ingest delta), where
+      # an out-of-bounds slot or node index would live; the plain stages
+      # run everything. -L is a regex: this selects all three families.
+      ctest_args+=(-L 'observability|net|index')
       ;;
     sanitize-thread)
       cmake_args+=(

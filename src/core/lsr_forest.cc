@@ -70,15 +70,18 @@ AggregateSummary LsrForest::AggregateAtLevel(const QueryRange& range,
   return raw.Scaled(std::ldexp(1.0, l));  // res_l * 2^l (Alg. 6 line 3)
 }
 
-AggregateSummary LsrForest::AggregateAtLevelClipped(
-    const Rect& clip, const QueryRange& range, int level,
-    RTree::QueryStats* stats) const {
-  if (trees_.empty()) return AggregateSummary();
+std::vector<AggregateSummary> LsrForest::AggregateByCellAtLevel(
+    const QueryRange& range, const CellSlots& slots, int level) const {
+  if (trees_.empty()) return std::vector<AggregateSummary>(slots.size());
   const int l = std::clamp(level, 0, max_level());
-  const AggregateSummary raw =
-      trees_[l].RangeAggregateClipped(clip, range, stats);
-  if (l == 0) return raw;
-  return raw.Scaled(std::ldexp(1.0, l));
+  std::vector<AggregateSummary> out =
+      trees_[l].RangeAggregateByCell(range, slots);
+  if (l > 0) {
+    for (AggregateSummary& summary : out) {
+      summary = summary.Scaled(std::ldexp(1.0, l));
+    }
+  }
+  return out;
 }
 
 AggregateSummary LsrForest::ExactRangeAggregate(const QueryRange& range) const {

@@ -7,6 +7,7 @@
 #include "agg/aggregate.h"
 #include "agg/spatial_object.h"
 #include "geo/range.h"
+#include "index/grid_index.h"
 #include "index/rtree.h"
 #include "util/random.h"
 
@@ -60,11 +61,12 @@ class LsrForest {
   AggregateSummary AggregateAtLevel(const QueryRange& range, int level,
                                     RTree::QueryStats* stats = nullptr) const;
 
-  /// Clipped variant of AggregateAtLevel: objects must lie in both `clip`
-  /// and `range`. Used for per-grid-cell contributions under LSR.
-  AggregateSummary AggregateAtLevelClipped(
-      const Rect& clip, const QueryRange& range, int level,
-      RTree::QueryStats* stats = nullptr) const;
+  /// Per-cell variant of AggregateAtLevel: one RTree::RangeAggregateByCell
+  /// descent of T_level answers every slot, each rescaled by 2^level. The
+  /// NonIID-est boundary cells of one request (Alg. 3) under LSR. An empty
+  /// forest answers zero summaries.
+  std::vector<AggregateSummary> AggregateByCellAtLevel(
+      const QueryRange& range, const CellSlots& slots, int level) const;
 
   /// Exact local answer from T_0.
   AggregateSummary ExactRangeAggregate(const QueryRange& range) const;

@@ -785,7 +785,7 @@ Result<AggregateSummary> ServiceProvider::RunNonIidEst(
   // Classify the cells touching R from g_0. With the boundary-only
   // optimisation (default), fully covered cells contribute their exact
   // federation-wide aggregate (Sec. 4.2.2 remark) and only boundary cells
-  // need the sampled silo's clipped contributions; the unoptimised Alg. 3
+  // need the sampled silo's per-cell contributions; the unoptimised Alg. 3
   // requests the vector for every intersecting cell. A tile-cache
   // assembly short-circuits the classification entirely: the interior
   // block and the boundary cells' g_0 summaries were already recovered

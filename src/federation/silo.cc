@@ -73,13 +73,6 @@ AggregateSummary Silo::DeltaSummary(const QueryRange& range) const {
                      [&range](const Point& p) { return range.Contains(p); });
 }
 
-AggregateSummary Silo::DeltaSummaryClipped(const Rect& clip,
-                                           const QueryRange& range) const {
-  return SummarizeIf(delta_, [&](const Point& p) {
-    return clip.Contains(p) && range.Contains(p);
-  });
-}
-
 AggregateSummary Silo::ExactRangeAggregate(const QueryRange& range) const {
   AggregateSummary result = lsr_.ExactRangeAggregate(range);
   if (!delta_.empty()) result.Merge(DeltaSummary(range));
@@ -305,35 +298,45 @@ std::vector<CellContribution> CellContributionsImpl(
     double sum0, bool include_contained) {
   // Both ends compute cell classification from the shared GridSpec, so the
   // provider knows which cell ids to expect without shipping them.
-  int level = 0;
-  if (use_lsr && lsr.num_levels() > 0) {
-    level = LsrForest::SelectLevel(epsilon, delta, sum0, lsr.max_level());
-  }
   std::vector<CellContribution> contributions;
+  std::vector<uint32_t> boundary_cells;
+  std::vector<size_t> boundary_at;  // each boundary cell's contribution
   grid.ForEachIntersectingCell(
       range, [&](size_t cell_id, CellRelation relation) {
+        const bool contained = relation == CellRelation::kContained;
+        if (contained && !include_contained) return;
         CellContribution contribution;
         contribution.cell_id = static_cast<uint32_t>(cell_id);
-        if (relation == CellRelation::kContained) {
-          if (!include_contained) return;
+        if (contained) {
           // A fully covered cell's contribution is its grid aggregate —
           // exact, no tree descent needed.
           contribution.summary = grid.cell(cell_id);
         } else {
-          const Rect cell_rect =
-              grid.CellRect(grid.RowOf(cell_id), grid.ColOf(cell_id));
-          contribution.summary =
-              use_lsr ? lsr.AggregateAtLevelClipped(cell_rect, range, level)
-                      : lsr.tree(0).RangeAggregateClipped(cell_rect, range);
-          if (!ingest_delta.empty()) {
-            contribution.summary.Merge(
-                SummarizeIf(ingest_delta, [&](const Point& p) {
-                  return cell_rect.Contains(p) && range.Contains(p);
-                }));
-          }
+          boundary_cells.push_back(contribution.cell_id);
+          boundary_at.push_back(contributions.size());
         }
         contributions.push_back(contribution);
       });
+
+  // One descent answers every boundary cell, on the Lemma-1 level under
+  // LSR; the uncompacted ingest delta joins exactly, in one pass. Each
+  // object counts in the one cell GridIndex::CellOf assigns it, the cell
+  // the grids count it in.
+  int level = 0;
+  if (use_lsr && lsr.num_levels() > 0) {
+    level = LsrForest::SelectLevel(epsilon, delta, sum0, lsr.max_level());
+  }
+  const CellSlots slots(grid, boundary_cells);
+  std::vector<AggregateSummary> answers =
+      lsr.AggregateByCellAtLevel(range, slots, level);
+  for (const SpatialObject& o : ingest_delta) {
+    if (!range.Contains(o.location)) continue;
+    const int slot = slots.SlotOf(o.location);
+    if (slot >= 0) answers[slot].Add(o);
+  }
+  for (size_t i = 0; i < answers.size(); ++i) {
+    contributions[boundary_at[i]].summary = answers[i];
+  }
   return contributions;
 }
 

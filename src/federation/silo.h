@@ -99,9 +99,12 @@ class Silo : public SiloEndpoint {
   Result<AggregateSummary> HistogramEstimate(const QueryRange& range) const;
 
   /// NonIID-est (Alg. 3 with the boundary-cell optimisation): for every
-  /// grid cell that intersects the *boundary* of `range`, the aggregate of
-  /// this silo's objects inside cell ∩ range. With `use_lsr`, per-cell
-  /// answers come from the Lemma-1 level of the LSR-Forest.
+  /// grid cell that intersects the *boundary* of `range`, ascending by
+  /// cell id, the aggregate of this silo's objects within `range` that
+  /// GridIndex::CellOf assigns to that cell — the cell the grids count
+  /// them in, so an object on an edge shared by two cells counts once.
+  /// One R-tree descent answers all the cells of a request. With
+  /// `use_lsr`, the descent runs on the Lemma-1 level of the LSR-Forest.
   std::vector<CellContribution> BoundaryCellContributions(
       const QueryRange& range, bool use_lsr, double epsilon, double delta,
       double sum0) const;
@@ -188,8 +191,6 @@ class Silo : public SiloEndpoint {
   void IngestLocked(const ObjectSet& batch);
   void CompactLocked();
   AggregateSummary DeltaSummary(const QueryRange& range) const;
-  AggregateSummary DeltaSummaryClipped(const Rect& clip,
-                                       const QueryRange& range) const;
 
   int id_ = -1;
   size_t num_objects_ = 0;

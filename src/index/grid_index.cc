@@ -65,16 +65,6 @@ Result<GridIndex> GridIndex::Merge(const std::vector<const GridIndex*>& parts) {
   return merged;
 }
 
-size_t GridIndex::CellOf(const Point& p) const {
-  const double fx = (p.x - spec_.domain.min.x) / spec_.cell_length;
-  const double fy = (p.y - spec_.domain.min.y) / spec_.cell_length;
-  const size_t col = static_cast<size_t>(
-      std::clamp(std::floor(fx), 0.0, static_cast<double>(cols_ - 1)));
-  const size_t row = static_cast<size_t>(
-      std::clamp(std::floor(fy), 0.0, static_cast<double>(rows_ - 1)));
-  return CellId(row, col);
-}
-
 Rect GridIndex::CellRect(size_t row, size_t col) const {
   const double x0 = spec_.domain.min.x + static_cast<double>(col) * spec_.cell_length;
   const double y0 = spec_.domain.min.y + static_cast<double>(row) * spec_.cell_length;
@@ -340,6 +330,31 @@ void GridIndex::RebuildPrefixSums() {
                              prefix_sum_sqr_[(r + 1) * stride + c] -
                              prefix_sum_sqr_[r * stride + c];
     }
+  }
+}
+
+CellSlots::CellSlots(const GridIndex& grid, const std::vector<uint32_t>& cells)
+    : grid_(&grid), size_(cells.size()) {
+  if (cells.empty()) return;
+  row0_ = grid.rows();
+  col0_ = grid.cols();
+  size_t row1 = 0;
+  size_t col1 = 0;
+  for (uint32_t cell : cells) {
+    FRA_CHECK_LT(cell, grid.num_cells());
+    row0_ = std::min(row0_, grid.RowOf(cell));
+    col0_ = std::min(col0_, grid.ColOf(cell));
+    row1 = std::max(row1, grid.RowOf(cell));
+    col1 = std::max(col1, grid.ColOf(cell));
+  }
+  rows_ = row1 - row0_ + 1;
+  cols_ = col1 - col0_ + 1;
+  slot_.assign(rows_ * cols_, -1);
+  for (size_t i = 0; i < cells.size(); ++i) {
+    const size_t r = grid.RowOf(cells[i]) - row0_;
+    const size_t c = grid.ColOf(cells[i]) - col0_;
+    FRA_CHECK_EQ(slot_[r * cols_ + c], -1);  // distinct cells
+    slot_[r * cols_ + c] = static_cast<int32_t>(i);
   }
 }
 

@@ -1,6 +1,7 @@
 #ifndef FRA_INDEX_GRID_INDEX_H_
 #define FRA_INDEX_GRID_INDEX_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <unordered_map>
@@ -72,8 +73,32 @@ class GridIndex {
   size_t RowOf(size_t cell_id) const { return cell_id / cols_; }
   size_t ColOf(size_t cell_id) const { return cell_id % cols_; }
 
-  /// Cell containing `p` (clamped to the domain).
-  size_t CellOf(const Point& p) const;
+  /// A cell's position in the grid.
+  struct RowCol {
+    size_t row = 0;
+    size_t col = 0;
+    friend bool operator==(const RowCol&, const RowCol&) = default;
+  };
+
+  /// Row and column of the cell containing `p`, clamped to the domain.
+  /// This is the one cell-assignment rule of the federation: each cell is
+  /// half-open, [x0, x0 + L) x [y0, y0 + L), so a point on a shared edge
+  /// belongs to the cell above or to the right of it (points beyond the
+  /// domain go to the nearest edge cell). The grid counts each object in
+  /// this cell, and so does every per-cell answer
+  /// (RTree::RangeAggregateByCell). Monotone in x and in y, so the cells
+  /// of a rectangle's corners bound the cells of every point inside it.
+  RowCol RowColOf(const Point& p) const {
+    return RowCol{
+        FloorClamped((p.y - spec_.domain.min.y) / spec_.cell_length, rows_),
+        FloorClamped((p.x - spec_.domain.min.x) / spec_.cell_length, cols_)};
+  }
+
+  /// Id of the cell RowColOf(`p`) names.
+  size_t CellOf(const Point& p) const {
+    const RowCol cell = RowColOf(p);
+    return CellId(cell.row, cell.col);
+  }
 
   /// Geometric extent of a cell.
   Rect CellRect(size_t row, size_t col) const;
@@ -163,6 +188,15 @@ class GridIndex {
   static Status Deserialize(BinaryReader* reader, GridIndex* out);
 
  private:
+  // floor(f) clamped to [0, n - 1]. On (0, n - 1) truncation is floor, so
+  // this skips the floor itself, which the per-object cell lookup of a
+  // descent feels; NaN maps to 0.
+  static size_t FloorClamped(double f, size_t n) {
+    if (!(f > 0.0)) return 0;
+    if (f >= static_cast<double>(n - 1)) return n - 1;
+    return static_cast<size_t>(f);
+  }
+
   void RebuildPrefixSums();
 
   // Verified column span [*lo, *hi] of cells in `row` intersecting the
@@ -190,6 +224,42 @@ class GridIndex {
   std::unordered_map<size_t, DeltaEntry> delta_;
   // Cells changed since the last delta-sync request.
   std::unordered_map<size_t, bool> changed_cells_;
+};
+
+/// The answer slots of one per-cell range aggregation (NonIID-est,
+/// Alg. 3): slot i answers the i-th cell it was built from. Slots are
+/// looked up by (row, col) in a dense table over the block of rows and
+/// columns those cells span, so the per-object lookup costs no integer
+/// division.
+class CellSlots {
+ public:
+  /// Slots for `cells`, distinct ids of `grid`, which must outlive this.
+  CellSlots(const GridIndex& grid, const std::vector<uint32_t>& cells);
+
+  const GridIndex& grid() const { return *grid_; }
+  size_t size() const { return size_; }
+
+  /// Slot of the cell at `cell`, or -1 when it has none.
+  int SlotAt(GridIndex::RowCol cell) const {
+    // Rows and columns before the table wrap around to huge offsets.
+    const size_t r = cell.row - row0_;
+    const size_t c = cell.col - col0_;
+    if (r >= rows_ || c >= cols_) return -1;
+    return slot_[r * cols_ + c];
+  }
+
+  /// Slot of the cell grid().RowColOf assigns `p`, or -1.
+  int SlotOf(const Point& p) const { return SlotAt(grid_->RowColOf(p)); }
+
+ private:
+  const GridIndex* grid_;
+  size_t size_ = 0;
+  // The table's block: rows [row0_, row0_ + rows_), cols [col0_, col0_ + cols_).
+  size_t row0_ = 0;
+  size_t col0_ = 0;
+  size_t rows_ = 0;
+  size_t cols_ = 0;
+  std::vector<int32_t> slot_;  // rows_ x cols_; -1 for a cell without slot
 };
 
 }  // namespace fra

@@ -153,36 +153,41 @@ void RTree::AggregateNode(uint32_t node_index, const QueryRange& range,
   }
 }
 
-AggregateSummary RTree::RangeAggregateClipped(const Rect& clip,
-                                              const QueryRange& range,
-                                              QueryStats* stats) const {
-  AggregateSummary acc;
-  if (!nodes_.empty()) AggregateNodeClipped(root_, clip, range, &acc, stats);
-  return acc;
+std::vector<AggregateSummary> RTree::RangeAggregateByCell(
+    const QueryRange& range, const CellSlots& slots) const {
+  std::vector<AggregateSummary> out(slots.size());
+  if (!nodes_.empty()) AggregateNodeByCell(root_, range, slots, out.data());
+  return out;
 }
 
-void RTree::AggregateNodeClipped(uint32_t node_index, const Rect& clip,
-                                 const QueryRange& range,
-                                 AggregateSummary* acc,
-                                 QueryStats* stats) const {
+void RTree::AggregateNodeByCell(uint32_t node_index, const QueryRange& range,
+                                const CellSlots& slots,
+                                AggregateSummary* out) const {
   const Node& node = nodes_[node_index];
-  if (stats != nullptr) ++stats->nodes_visited;
-  if (!clip.Intersects(node.mbr) || !range.Intersects(node.mbr)) return;
-  if (clip.Contains(node.mbr) && range.Contains(node.mbr)) {
-    acc->Merge(node.summary);
-    if (stats != nullptr) ++stats->subtrees_taken;
+  if (!range.Intersects(node.mbr)) return;
+  // RowColOf is monotone, so the cells of the MBR's corners bound the cell
+  // of every object below.
+  const GridIndex::RowCol lo = slots.grid().RowColOf(node.mbr.min);
+  const GridIndex::RowCol hi = slots.grid().RowColOf(node.mbr.max);
+  if (lo == hi) {
+    // One cell holds the whole subtree: a plain range aggregate into its
+    // slot, or nothing when the cell has none.
+    const int slot = slots.SlotAt(lo);
+    if (slot >= 0) AggregateNode(node_index, range, &out[slot], nullptr);
     return;
   }
   if (node.level == 0) {
+    const bool inside = range.Contains(node.mbr);
     for (uint32_t i = node.begin; i < node.end; ++i) {
-      if (stats != nullptr) ++stats->objects_tested;
       const Point& p = objects_[i].location;
-      if (clip.Contains(p) && range.Contains(p)) acc->Add(objects_[i]);
+      if (!inside && !range.Contains(p)) continue;
+      const int slot = slots.SlotOf(p);
+      if (slot >= 0) out[slot].Add(objects_[i]);
     }
     return;
   }
   for (uint32_t child = node.begin; child < node.end; ++child) {
-    AggregateNodeClipped(child, clip, range, acc, stats);
+    AggregateNodeByCell(child, range, slots, out);
   }
 }
 

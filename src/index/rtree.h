@@ -9,6 +9,7 @@
 #include "agg/spatial_object.h"
 #include "geo/range.h"
 #include "geo/rect.h"
+#include "index/grid_index.h"
 
 namespace fra {
 
@@ -20,7 +21,8 @@ namespace fra {
 /// individual objects only in leaves that straddle the range boundary —
 /// the standard O(log n) aggregate query the paper assumes for local
 /// (exact) range aggregation, and the per-level building block of the
-/// LSR-Forest (Sec. 5).
+/// LSR-Forest (Sec. 5). The per-cell variant answers every grid cell of a
+/// request in the same single descent.
 ///
 /// The tree is immutable after Build(); objects are stored in leaf order
 /// in one contiguous array, and nodes reference contiguous child ranges,
@@ -56,13 +58,16 @@ class RTree {
   AggregateSummary RangeAggregate(const QueryRange& range,
                                   QueryStats* stats = nullptr) const;
 
-  /// Summary of all objects within `range` AND within the rectangle
-  /// `clip`. Backs the NonIID-est per-grid-cell contributions (Alg. 3):
-  /// the silo aggregates its objects inside cell ∩ R, one boundary cell
-  /// at a time.
-  AggregateSummary RangeAggregateClipped(const Rect& clip,
-                                         const QueryRange& range,
-                                         QueryStats* stats = nullptr) const;
+  /// Per-cell range aggregation in one descent for the whole request:
+  /// each object within `range` is added to the slot of the one cell
+  /// GridIndex::RowColOf assigns it, or dropped when that cell has no
+  /// slot. A node within `range` and within one slotted cell is merged
+  /// whole, and a subtree within one cell without a slot is skipped.
+  /// Returns one summary per slot. Backs the NonIID-est boundary-cell
+  /// contributions (Alg. 3): each object counts in the cell the grids
+  /// count it in, never in two cells that share its edge.
+  std::vector<AggregateSummary> RangeAggregateByCell(
+      const QueryRange& range, const CellSlots& slots) const;
 
   /// Appends all objects inside `range` to `out`.
   void CollectInRange(const QueryRange& range,
@@ -99,9 +104,9 @@ class RTree {
 
   void AggregateNode(uint32_t node_index, const QueryRange& range,
                      AggregateSummary* acc, QueryStats* stats) const;
-  void AggregateNodeClipped(uint32_t node_index, const Rect& clip,
-                            const QueryRange& range, AggregateSummary* acc,
-                            QueryStats* stats) const;
+  void AggregateNodeByCell(uint32_t node_index, const QueryRange& range,
+                           const CellSlots& slots,
+                           AggregateSummary* out) const;
   void CollectNode(uint32_t node_index, const QueryRange& range,
                    std::vector<SpatialObject>* out) const;
 

@@ -131,7 +131,8 @@ struct AggregateRequest {
 
 /// Request for the NonIID-est per-cell contribution vector: the silo
 /// reports, for every grid cell intersecting the *boundary* of the range,
-/// the aggregate of its own objects inside cell ∩ range.
+/// the aggregate of its own objects within the range that
+/// GridIndex::CellOf assigns to that cell.
 struct CellVectorRequest {
   QueryRange range;
   LocalQueryMode mode = LocalQueryMode::kExact;  // kExact or kLsr

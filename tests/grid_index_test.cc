@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cmath>
+#include <cstdint>
 #include <set>
 
 #include "tests/test_util.h"
@@ -49,6 +53,32 @@ TEST(GridIndexTest, CellMappingAndRects) {
   EXPECT_EQ(grid.CellOf(Point{-5, -5}), grid.CellId(0, 0));
   EXPECT_EQ(grid.CellOf(Point{50, 50}), grid.CellId(3, 3));
   EXPECT_EQ(grid.CellRect(1, 2), (Rect{{5.0, 2.5}, {7.5, 5.0}}));
+}
+
+TEST(GridIndexTest, RowColOfIsFloorThenClamp) {
+  const auto grid = GridIndex::Build({}, SpecWithLength(2.5)).ValueOrDie();
+  // floor((v - origin) / L) clamped to the grid: the reference formula.
+  const auto reference = [&](double v, size_t n) {
+    return static_cast<size_t>(std::clamp(
+        std::floor(v / 2.5), 0.0, static_cast<double>(n - 1)));
+  };
+  std::vector<double> values = {-1e300, -3.0, -0.0, 0.0, 1e-300, 9.999,
+                                10.0,   12.5, 1e300, HUGE_VAL, -HUGE_VAL};
+  for (int line = 0; line <= 4; ++line) {
+    const double v = 2.5 * line;  // every grid line and its neighbours
+    values.insert(values.end(), {std::nextafter(v, -1.0), v,
+                                 std::nextafter(v, 100.0)});
+  }
+  Rng rng(3);
+  for (int i = 0; i < 200; ++i) values.push_back(rng.NextDouble(-5, 15));
+  for (double x : values) {
+    for (double y : {-1.0, 2.5, 7.4999, 12.0}) {
+      const GridIndex::RowCol cell = grid.RowColOf({x, y});
+      EXPECT_EQ(cell.col, reference(x, grid.cols())) << "x " << x;
+      EXPECT_EQ(cell.row, reference(y, grid.rows())) << "y " << y;
+      EXPECT_EQ(grid.CellOf({x, y}), grid.CellId(cell.row, cell.col));
+    }
+  }
 }
 
 TEST(GridIndexTest, PaperExampleGridContents) {
@@ -102,11 +132,18 @@ TEST(GridIndexTest, BlockAggregateMatchesManualSum) {
   }
 }
 
+// ctest names each case after gtest's byte dump of this struct (it has
+// no operator<<), so every byte is a member: the compiler's padding after
+// `circle` held whatever the stack did and renamed the cases from run to
+// run. `name_bytes` fills that gap; its values keep the names the cases
+// were first registered under.
 struct GridQueryParam {
   double cell_length;
   bool circle;
+  std::array<uint8_t, 7> name_bytes;
   size_t num_objects;
 };
+static_assert(sizeof(GridQueryParam) == 24, "no padding left to dump");
 
 class GridQueryPropertyTest : public ::testing::TestWithParam<GridQueryParam> {
 };
@@ -132,14 +169,15 @@ TEST_P(GridQueryPropertyTest, FastAggregateEqualsNaive) {
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, GridQueryPropertyTest,
-    ::testing::Values(GridQueryParam{0.5, true, 2000},
-                      GridQueryParam{0.5, false, 2000},
-                      GridQueryParam{1.0, true, 2000},
-                      GridQueryParam{1.0, false, 2000},
-                      GridQueryParam{2.5, true, 500},
-                      GridQueryParam{2.5, false, 500},
-                      GridQueryParam{3.3, true, 500},   // non-divisor length
-                      GridQueryParam{3.3, false, 500}));
+    ::testing::Values(GridQueryParam{0.5, true, {0x65, 0x78}, 2000},
+                      GridQueryParam{0.5, false, {}, 2000},
+                      GridQueryParam{1.0, true, {}, 2000},
+                      GridQueryParam{1.0, false, {}, 2000},
+                      GridQueryParam{2.5, true, {}, 500},
+                      GridQueryParam{2.5, false, {0xDA, 0x48}, 500},
+                      // non-divisor length
+                      GridQueryParam{3.3, true, {}, 500},
+                      GridQueryParam{3.3, false, {}, 500}));
 
 TEST(GridIndexTest, ForEachIntersectingCellClassification) {
   const auto grid = GridIndex::Build({}, SpecWithLength(1.0)).ValueOrDie();

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
+#include "index/grid_index.h"
 #include "tests/test_util.h"
 #include "util/stats.h"
 
@@ -20,6 +22,13 @@ TEST(LsrForestTest, EmptyForest) {
                   .ApproximateRangeAggregate(
                       QueryRange::MakeCircle({0, 0}, 1), 0.1, 0.01, 0.0)
                   .empty());
+  // Per-cell answers on an empty forest: one zero summary per slot.
+  const GridIndex grid = GridIndex::Build({}, {kDomain, 10.0}).ValueOrDie();
+  const std::vector<AggregateSummary> cells = forest.AggregateByCellAtLevel(
+      QueryRange::MakeCircle({0, 0}, 1), CellSlots(grid, {0, 1}), 3);
+  ASSERT_EQ(cells.size(), 2UL);
+  EXPECT_TRUE(cells[0].empty());
+  EXPECT_TRUE(cells[1].empty());
 }
 
 TEST(LsrForestTest, NumLevelsIsLogN) {
@@ -194,17 +203,41 @@ TEST(LsrForestTest, LevelUsedIsReported) {
   EXPECT_GT(level, 0);
 }
 
-TEST(LsrForestTest, ClippedAggregateAtLevelZeroMatchesPredicate) {
-  const ObjectSet objects = testing::RandomObjects(5000, kDomain, 13);
+TEST(LsrForestTest, PerCellAggregateAtLevelMatchesScaledPredicate) {
+  ObjectSet objects = testing::RandomObjects(20000, kDomain, 13);
+  const ObjectSet lattice = testing::LatticeObjects(kDomain, 1.25);
+  objects.insert(objects.end(), lattice.begin(), lattice.end());
   const LsrForest forest = LsrForest::Build(objects);
-  const QueryRange range = QueryRange::MakeCircle({40, 40}, 15);
-  const Rect clip{{30, 30}, {45, 45}};
-  const AggregateSummary expected = SummarizeIf(
-      objects, [&](const Point& p) {
-        return clip.Contains(p) && range.Contains(p);
-      });
-  EXPECT_EQ(forest.AggregateAtLevelClipped(clip, range, 0).count,
-            expected.count);
+  const GridIndex grid =
+      GridIndex::Build(objects, {kDomain, 2.5}).ValueOrDie();
+  Rng rng(17);
+  for (int q = 0; q < 12; ++q) {
+    const QueryRange range =
+        q % 3 == 2 ? testing::RandomGridAlignedRect(grid.spec(), 15.0, &rng)
+                   : testing::RandomRange(kDomain, 15.0, q % 3 == 0, &rng);
+    std::vector<uint32_t> boundary;
+    grid.ForEachIntersectingCell(range, [&](size_t id, CellRelation rel) {
+      if (rel == CellRelation::kPartial) {
+        boundary.push_back(static_cast<uint32_t>(id));
+      }
+    });
+    const CellSlots slots(grid, boundary);
+    // Level 0, a sampled level, and one past the top (clamped).
+    for (int level : {0, 4, forest.max_level() + 3}) {
+      const int l = std::min(level, forest.max_level());
+      const std::vector<AggregateSummary> answers =
+          forest.AggregateByCellAtLevel(range, slots, level);
+      ASSERT_EQ(answers.size(), boundary.size());
+      for (size_t i = 0; i < boundary.size(); ++i) {
+        const AggregateSummary expected =
+            testing::CellReference(forest.tree(l).objects(), grid,
+                                   boundary[i], range)
+                .Scaled(std::ldexp(1.0, l));
+        EXPECT_EQ(answers[i].count, expected.count) << "level " << l;
+        EXPECT_NEAR(answers[i].sum, expected.sum, 1e-6) << "level " << l;
+      }
+    }
+  }
 }
 
 TEST(LsrForestTest, MemoryIsAboutTwiceTheBaseTree) {

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "index/grid_index.h"
 #include "tests/test_util.h"
 
 namespace fra {
@@ -119,24 +120,78 @@ INSTANTIATE_TEST_SUITE_P(
                       RTreeParam{4096, 64, 16, true},  // exact power of two
                       RTreeParam{65, 64, 16, false})); // one over a leaf
 
-TEST(RTreeTest, ClippedAggregateEqualsPredicateIntersection) {
-  const ObjectSet objects = testing::RandomObjects(2000, kDomain, 3);
-  const RTree tree = RTree::Build(objects);
-  Rng rng(11);
-  for (int q = 0; q < 40; ++q) {
-    const QueryRange range = testing::RandomRange(kDomain, 25.0, true, &rng);
-    Rect clip;
-    clip.min = {rng.NextDouble(0, 80), rng.NextDouble(0, 80)};
-    clip.max = {clip.min.x + rng.NextDouble(1, 20),
-                clip.min.y + rng.NextDouble(1, 20)};
-    const AggregateSummary expected =
-        SummarizeIf(objects, [&](const Point& p) {
-          return clip.Contains(p) && range.Contains(p);
-        });
-    const AggregateSummary actual = tree.RangeAggregateClipped(clip, range);
-    EXPECT_EQ(actual.count, expected.count);
-    EXPECT_NEAR(actual.sum, expected.sum, 1e-9);
+// Circles, rectangles and rectangles along grid lines, in turn.
+QueryRange PerCellRange(int q, const GridIndex::GridSpec& spec, Rng* rng) {
+  if (q % 3 == 2) return testing::RandomGridAlignedRect(spec, 20.0, rng);
+  return testing::RandomRange(kDomain, 20.0, q % 3 == 0, rng);
+}
+
+TEST(RTreeTest, PerCellAggregateMatchesCellOfPredicate) {
+  // Random objects plus a lattice on every cell edge and corner.
+  ObjectSet objects = testing::RandomObjects(3000, kDomain, 3);
+  const ObjectSet lattice = testing::LatticeObjects(kDomain, 1.25);
+  objects.insert(objects.end(), lattice.begin(), lattice.end());
+  const GridIndex grid =
+      GridIndex::Build(objects, {kDomain, 2.5}).ValueOrDie();
+  for (const RTree::Options& options :
+       {RTree::Options{}, RTree::Options{4, 3}}) {
+    const RTree tree = RTree::Build(objects, options);
+    Rng rng(11);
+    for (int q = 0; q < 60; ++q) {
+      const QueryRange range = PerCellRange(q, grid.spec(), &rng);
+      std::vector<uint32_t> boundary;
+      std::vector<uint32_t> all;
+      AggregateSummary interior;
+      grid.ForEachIntersectingCell(range, [&](size_t id, CellRelation rel) {
+        all.push_back(static_cast<uint32_t>(id));
+        if (rel == CellRelation::kPartial) {
+          boundary.push_back(static_cast<uint32_t>(id));
+        } else {
+          interior.Merge(grid.cell(id));
+        }
+      });
+      for (const std::vector<uint32_t>* cells : {&boundary, &all}) {
+        const std::vector<AggregateSummary> answers =
+            tree.RangeAggregateByCell(range, CellSlots(grid, *cells));
+        ASSERT_EQ(answers.size(), cells->size());
+        for (size_t i = 0; i < cells->size(); ++i) {
+          const AggregateSummary expected =
+              testing::CellReference(objects, grid, (*cells)[i], range);
+          EXPECT_EQ(answers[i].count, expected.count) << "query " << q;
+          EXPECT_NEAR(answers[i].sum, expected.sum, 1e-9) << "query " << q;
+        }
+      }
+      // Interior cells plus boundary cells count every object once.
+      AggregateSummary whole = interior;
+      for (const AggregateSummary& answer :
+           tree.RangeAggregateByCell(range, CellSlots(grid, boundary))) {
+        whole.Merge(answer);
+      }
+      EXPECT_EQ(whole.count, tree.RangeAggregate(range).count)
+          << "query " << q;
+    }
   }
+}
+
+TEST(RTreeTest, PerCellAggregateIgnoresCellsOutsideTheRange) {
+  const ObjectSet objects = testing::RandomObjects(2000, kDomain, 4);
+  const RTree tree = RTree::Build(objects);
+  const GridIndex grid =
+      GridIndex::Build(objects, {kDomain, 2.5}).ValueOrDie();
+  const QueryRange range = QueryRange::MakeCircle({20, 20}, 6);
+  // Slots for cells far from the range stay empty; no slots, no answers.
+  const std::vector<uint32_t> far = {
+      static_cast<uint32_t>(grid.CellId(30, 30)),
+      static_cast<uint32_t>(grid.CellId(0, 39))};
+  for (const AggregateSummary& answer :
+       tree.RangeAggregateByCell(range, CellSlots(grid, far))) {
+    EXPECT_TRUE(answer.empty());
+  }
+  EXPECT_TRUE(tree.RangeAggregateByCell(range, CellSlots(grid, {})).empty());
+  EXPECT_EQ(RTree::Build({})
+                .RangeAggregateByCell(range, CellSlots(grid, far))
+                .size(),
+            far.size());
 }
 
 TEST(RTreeTest, CollectInRangeReturnsExactlyTheContainedObjects) {

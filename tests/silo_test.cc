@@ -114,14 +114,121 @@ TEST(SiloTest, BoundaryCellContributionsCoverOnlyPartialCells) {
   ASSERT_EQ(contributions.size(), expected_ids.size());
   for (size_t i = 0; i < contributions.size(); ++i) {
     EXPECT_EQ(contributions[i].cell_id, expected_ids[i]);
-    // Each contribution aggregates this silo's objects in cell ∩ range.
-    const Rect cell_rect = grid.CellRect(grid.RowOf(expected_ids[i]),
-                                         grid.ColOf(expected_ids[i]));
-    const AggregateSummary expected = SummarizeIf(
-        objects, [&](const Point& p) {
-          return cell_rect.Contains(p) && range.Contains(p);
-        });
+    // Each contribution aggregates this silo's objects within the range
+    // that the grid assigns to the cell.
+    const AggregateSummary expected =
+        testing::CellReference(objects, grid, expected_ids[i], range);
     EXPECT_EQ(contributions[i].summary.count, expected.count) << "cell " << i;
+  }
+}
+
+// Interior (contained grid cells) plus boundary contributions of `silo`.
+AggregateSummary InteriorPlusBoundary(const Silo& silo,
+                                      const QueryRange& range) {
+  AggregateSummary total;
+  silo.grid().ForEachIntersectingCell(
+      range, [&](size_t id, CellRelation relation) {
+        if (relation == CellRelation::kContained) {
+          total.Merge(silo.grid().cell(id));
+        }
+      });
+  for (const CellContribution& c :
+       silo.BoundaryCellContributions(range, false, 0.1, 0.01, 0.0)) {
+    total.Merge(c.summary);
+  }
+  return total;
+}
+
+TEST(SiloTest, ObjectsOnACellEdgeCountOnce) {
+  // Ten objects on x = 20, the edge shared by two boundary cells of the
+  // circle, and three on y = 18, the edge between a boundary cell and a
+  // contained one. Each counts once, in the cell CellOf assigns it.
+  ObjectSet objects;
+  for (int i = 0; i < 10; ++i) objects.push_back({{20.0, 17.05 + 0.1 * i}, 1});
+  for (double x : {18.5, 19.0, 19.5}) objects.push_back({{x, 18.0}, 2});
+  const auto silo = MakeSilo(objects, DefaultOptions());
+  const QueryRange range = QueryRange::MakeCircle({20, 20}, 3);
+
+  const AggregateSummary total = InteriorPlusBoundary(*silo, range);
+  EXPECT_EQ(total.count, 13UL);
+  EXPECT_DOUBLE_EQ(total.sum, 16.0);
+  EXPECT_EQ(silo->ExactRangeAggregate(range).count, 13UL);
+  for (const CellContribution& c :
+       silo->BoundaryCellContributions(range, false, 0.1, 0.01, 0.0)) {
+    EXPECT_EQ(c.summary.count,
+              testing::CellReference(objects, silo->grid(), c.cell_id, range)
+                  .count)
+        << "cell " << c.cell_id;
+  }
+}
+
+TEST(SiloTest, EmptySiloAnswersZeroContributions) {
+  const auto silo = MakeSilo({}, DefaultOptions());
+  const QueryRange range = QueryRange::MakeCircle({25, 25}, 5);
+  size_t intersecting = 0;
+  silo->grid().ForEachIntersectingCell(
+      range, [&](size_t, CellRelation) { ++intersecting; });
+  for (bool use_lsr : {false, true}) {
+    const std::vector<CellContribution> boundary =
+        silo->BoundaryCellContributions(range, use_lsr, 0.1, 0.01, 100.0);
+    EXPECT_FALSE(boundary.empty());
+    for (const CellContribution& c : boundary) EXPECT_TRUE(c.summary.empty());
+    const std::vector<CellContribution> all =
+        silo->AllCellContributions(range, use_lsr, 0.1, 0.01, 100.0);
+    EXPECT_EQ(all.size(), intersecting);
+    for (const CellContribution& c : all) EXPECT_TRUE(c.summary.empty());
+  }
+}
+
+TEST(SiloTest, CellContributionsMatchCellOfPredicateWithIngestDelta) {
+  Silo::Options options = DefaultOptions();
+  options.compact_fraction = 0.0;  // keep the ingest delta uncompacted
+  ObjectSet objects = testing::RandomObjects(4000, kDomain, 16);
+  const ObjectSet lattice = testing::LatticeObjects(kDomain, 1.0);
+  objects.insert(objects.end(), lattice.begin(), lattice.end());
+  const auto silo = MakeSilo(objects, options);
+  // The delta repeats part of the lattice, so it has objects on edges too.
+  ObjectSet batch = testing::RandomObjects(500, kDomain, 17);
+  batch.insert(batch.end(), lattice.begin(), lattice.begin() + 600);
+  silo->Ingest(batch);
+  ASSERT_EQ(silo->pending_ingest(), batch.size());
+  objects.insert(objects.end(), batch.begin(), batch.end());
+
+  const GridIndex& grid = silo->grid();
+  Rng rng(18);
+  for (int q = 0; q < 24; ++q) {
+    const QueryRange range =
+        q % 3 == 2 ? testing::RandomGridAlignedRect(grid.spec(), 8.0, &rng)
+                   : testing::RandomRange(kDomain, 8.0, q % 3 == 0, &rng);
+    std::vector<uint32_t> all_ids;
+    std::vector<uint32_t> boundary_ids;
+    grid.ForEachIntersectingCell(range, [&](size_t id, CellRelation rel) {
+      all_ids.push_back(static_cast<uint32_t>(id));
+      if (rel == CellRelation::kPartial) {
+        boundary_ids.push_back(static_cast<uint32_t>(id));
+      }
+    });
+    // sum0 = 0 picks level 0, so the LSR path answers exactly too.
+    for (bool use_lsr : {false, true}) {
+      const auto check = [&](const std::vector<CellContribution>& got,
+                             const std::vector<uint32_t>& ids) {
+        ASSERT_EQ(got.size(), ids.size()) << "query " << q;
+        for (size_t i = 0; i < ids.size(); ++i) {
+          EXPECT_EQ(got[i].cell_id, ids[i]);
+          const AggregateSummary expected =
+              testing::CellReference(objects, grid, ids[i], range);
+          EXPECT_EQ(got[i].summary.count, expected.count) << "query " << q;
+          EXPECT_NEAR(got[i].summary.sum, expected.sum, 1e-9);
+        }
+      };
+      check(silo->BoundaryCellContributions(range, use_lsr, 0.1, 0.01, 0.0),
+            boundary_ids);
+      check(silo->AllCellContributions(range, use_lsr, 0.1, 0.01, 0.0),
+            all_ids);
+    }
+    EXPECT_EQ(InteriorPlusBoundary(*silo, range).count,
+              silo->ExactRangeAggregate(range).count)
+        << "query " << q;
   }
 }
 

@@ -7,13 +7,16 @@
 #include <unistd.h>
 
 #include <cctype>
+#include <cmath>
 #include <cstring>
 #include <string>
 #include <vector>
 
+#include "agg/aggregate.h"
 #include "agg/spatial_object.h"
 #include "geo/range.h"
 #include "geo/rect.h"
+#include "index/grid_index.h"
 #include "util/random.h"
 #include "util/result.h"
 
@@ -72,6 +75,46 @@ inline QueryRange RandomRange(const Rect& domain, double max_radius,
   if (circle) return QueryRange::MakeCircle(center, radius);
   return QueryRange::MakeRect({center.x - radius, center.y - radius},
                               {center.x + radius, center.y + radius});
+}
+
+/// One object with measure 1, 2 or 3 on every point of the lattice of
+/// spacing `step` over `domain`, edges included. With a step dividing the
+/// cell length, many objects sit on cell edges and corners.
+inline ObjectSet LatticeObjects(const Rect& domain, double step) {
+  ObjectSet objects;
+  for (double x = domain.min.x; x <= domain.max.x; x += step) {
+    for (double y = domain.min.y; y <= domain.max.y; y += step) {
+      objects.push_back({{x, y}, 1.0 + static_cast<double>(objects.size() % 3)});
+    }
+  }
+  return objects;
+}
+
+/// A random rectangle inside `domain` widened outward to the grid lines of
+/// `spec`: its edges run along cell edges.
+inline QueryRange RandomGridAlignedRect(const GridIndex::GridSpec& spec,
+                                        double max_half_side, Rng* rng) {
+  const Rect box = RandomRange(spec.domain, max_half_side, false, rng).rect();
+  const auto snap = [&spec](double v, double origin, bool up) {
+    const double cells = (v - origin) / spec.cell_length;
+    return origin + (up ? std::ceil(cells) : std::floor(cells)) * spec.cell_length;
+  };
+  return QueryRange::MakeRect(
+      {snap(box.min.x, spec.domain.min.x, false),
+       snap(box.min.y, spec.domain.min.y, false)},
+      {snap(box.max.x, spec.domain.min.x, true),
+       snap(box.max.y, spec.domain.min.y, true)});
+}
+
+/// Summary of the objects within `range` that `grid` assigns to `cell`
+/// (GridIndex::CellOf): the reference answer for one cell of a per-cell
+/// range aggregation.
+inline AggregateSummary CellReference(const ObjectSet& objects,
+                                      const GridIndex& grid, size_t cell,
+                                      const QueryRange& range) {
+  return SummarizeIf(objects, [&](const Point& p) {
+    return grid.CellOf(p) == cell && range.Contains(p);
+  });
 }
 
 /// One blocking HTTP GET against 127.0.0.1:`port`, full response
