@@ -4,12 +4,9 @@
 // O(sum) — the wall clock stays flat as m grows. Run with the serial
 // baseline in mind: m silos × delay each would be m·delay sequentially.
 //
-// Two serving substrates are measured back to back — the legacy blocking
-// pool / thread-per-connection pair ("before") and the epoll reactor
-// ("after") — and a high-concurrency sustain section then drives the
-// reactor with thousands of concurrent in-flight queries, a load shape
-// the blocking substrate cannot express at all (it would need one caller
-// thread per in-flight query).
+// A high-concurrency sustain section then drives the reactor transport
+// with thousands of concurrent in-flight queries: each costs a timer-wheel
+// entry and a pipelined slot, not a blocked caller thread.
 //
 //   ./build/bench/bench_tcp_fanout           # m in {1, 2, 4, 8}; 10k in flight
 //   FRA_BENCH_SCALE=smoke ./build/bench/bench_tcp_fanout   # 1k in flight
@@ -87,70 +84,57 @@ int main() {
   json.Key("objects_per_silo").Int(static_cast<long long>(objects_per_silo));
   json.Key("points").BeginArray();
 
-  // --- Fan-out latency, before (legacy) and after (reactor) ---------------
-  for (const bool use_reactor : {false, true}) {
-    const char* mode = use_reactor ? "reactor" : "legacy";
-    std::printf(
-        "\nEXACT fan-out over TCP (%s substrate), %d ms service delay\n",
-        mode, delay_ms);
-    std::printf("%4s %14s %16s %10s\n", "m", "mean query ms",
-                "serial ms (m*d)", "speedup");
+  // --- Fan-out latency -----------------------------------------------------
+  std::printf("\nEXACT fan-out over TCP, %d ms service delay\n", delay_ms);
+  std::printf("%4s %14s %16s %10s\n", "m", "mean query ms",
+              "serial ms (m*d)", "speedup");
+  for (size_t m : {1UL, 2UL, 4UL, 8UL}) {
+    std::vector<std::unique_ptr<fra::Silo>> silos;
+    std::vector<std::unique_ptr<DelayingEndpoint>> delayed;
+    std::vector<std::unique_ptr<fra::TcpSiloServer>> servers;
+    fra::TcpNetwork network;
+    fra::Rng rng(7 + m);
+    for (size_t s = 0; s < m; ++s) {
+      auto silo = fra::Silo::Create(static_cast<int>(s),
+                                    MakeObjects(domain, objects_per_silo,
+                                                &rng),
+                                    silo_options)
+                      .ValueOrDie();
+      delayed.push_back(
+          std::make_unique<DelayingEndpoint>(silo.get(), delay_ms));
+      auto server =
+          fra::TcpSiloServer::Start(delayed.back().get()).ValueOrDie();
+      FRA_CHECK_OK(network.AddSilo(static_cast<int>(s), server->port()));
+      silos.push_back(std::move(silo));
+      servers.push_back(std::move(server));
+    }
 
-    for (size_t m : {1UL, 2UL, 4UL, 8UL}) {
-      std::vector<std::unique_ptr<fra::Silo>> silos;
-      std::vector<std::unique_ptr<DelayingEndpoint>> delayed;
-      std::vector<std::unique_ptr<fra::TcpSiloServer>> servers;
-      fra::TcpSiloServer::Options server_options;
-      server_options.use_reactor = use_reactor;
-      fra::TcpNetwork::Options net_options;
-      net_options.use_reactor = use_reactor;
-      fra::TcpNetwork network(net_options);
-      fra::Rng rng(7 + m);
-      for (size_t s = 0; s < m; ++s) {
-        auto silo = fra::Silo::Create(static_cast<int>(s),
-                                      MakeObjects(domain, objects_per_silo,
-                                                  &rng),
-                                      silo_options)
-                        .ValueOrDie();
-        delayed.push_back(
-            std::make_unique<DelayingEndpoint>(silo.get(), delay_ms));
-        auto server = fra::TcpSiloServer::Start(delayed.back().get(), 0,
-                                                server_options)
-                          .ValueOrDie();
-        FRA_CHECK_OK(network.AddSilo(static_cast<int>(s), server->port()));
-        silos.push_back(std::move(silo));
-        servers.push_back(std::move(server));
-      }
+    auto provider = fra::ServiceProvider::Create(&network).ValueOrDie();
+    const fra::FraQuery query{fra::QueryRange::MakeRect({10, 10}, {90, 90}),
+                              fra::AggregateKind::kCount};
+    // Warm the pool: the first fan-out pays m connection dials.
+    FRA_CHECK_OK(provider->Execute(query, fra::FraAlgorithm::kExact).status());
 
-      auto provider = fra::ServiceProvider::Create(&network).ValueOrDie();
-      const fra::FraQuery query{
-          fra::QueryRange::MakeRect({10, 10}, {90, 90}),
-          fra::AggregateKind::kCount};
-      // Warm the pool: the first fan-out pays m connection dials.
+    fra::Timer timer;
+    for (int r = 0; r < repetitions; ++r) {
       FRA_CHECK_OK(
           provider->Execute(query, fra::FraAlgorithm::kExact).status());
-
-      fra::Timer timer;
-      for (int r = 0; r < repetitions; ++r) {
-        FRA_CHECK_OK(
-            provider->Execute(query, fra::FraAlgorithm::kExact).status());
-      }
-      const double mean_ms = timer.ElapsedMillis() / repetitions;
-      const double serial_ms = static_cast<double>(m) * delay_ms;
-      std::printf("%4zu %14.2f %16.1f %9.1fx\n", m, mean_ms, serial_ms,
-                  serial_ms / mean_ms);
-      json.BeginObject();
-      json.Key("mode").String(mode);
-      json.Key("num_silos").Int(static_cast<long long>(m));
-      json.Key("mean_query_ms").Number(mean_ms);
-      json.Key("serial_ms").Number(serial_ms);
-      json.Key("speedup").Number(serial_ms / mean_ms);
-      json.EndObject();
     }
+    const double mean_ms = timer.ElapsedMillis() / repetitions;
+    const double serial_ms = static_cast<double>(m) * delay_ms;
+    std::printf("%4zu %14.2f %16.1f %9.1fx\n", m, mean_ms, serial_ms,
+                serial_ms / mean_ms);
+    json.BeginObject();
+    json.Key("mode").String("reactor");
+    json.Key("num_silos").Int(static_cast<long long>(m));
+    json.Key("mean_query_ms").Number(mean_ms);
+    json.Key("serial_ms").Number(serial_ms);
+    json.Key("speedup").Number(serial_ms / mean_ms);
+    json.EndObject();
   }
   json.EndArray();
 
-  // --- High-concurrency sustain (reactor only) ----------------------------
+  // --- High-concurrency sustain -------------------------------------------
   // Thousands of queries in flight against a handful of silos: each
   // in-flight call costs one timer-wheel entry and a pipelined slot on a
   // pooled connection, not a blocked thread. The window pump keeps

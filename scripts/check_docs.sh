@@ -3,7 +3,7 @@
 #
 #   scripts/check_docs.sh [repo_root]
 #
-# Three guards over docs/*.md + README.md, all pure grep/awk — no build:
+# Four guards over docs/*.md + README.md, all pure grep/awk — no build:
 #
 #   1. Internal markdown links resolve: every `[text](target)` whose
 #      target is not an external URL must name an existing file
@@ -16,6 +16,12 @@
 #   3. No undocumented metrics: every "fra_..." string literal the code
 #      registers must be mentioned in at least one checked document —
 #      new metric families must land with their docs.
+#   4. No phantom option fields: every `Options::<field>` the docs name
+#      must be declared as a field (`<type> <field> =`, `;` or `{`) in a
+#      src/ header — a doc still naming a removed knob fails here.
+#
+# Plus a pinned check that the fra_bufpool_* families stay documented in
+# docs/observability.md.
 set -uo pipefail
 
 REPO_ROOT="${1:-$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)}"
@@ -94,6 +100,15 @@ while IFS= read -r metric; do
     fail "metric '${metric}' is registered in src/ but documented nowhere"
   fi
 done <<<"${registered}"
+
+echo "== docs-check: Options fields named in docs exist in src/ =="
+while IFS= read -r field; do
+  [[ -z "${field}" ]] && continue
+  grep -rqE "[A-Za-z0-9_>*&]+[[:space:]]+${field}[[:space:]]*(=|;|\{)" \
+      src --include='*.h' \
+    || fail "docs name 'Options::${field}' but no src/ header declares it"
+done < <(grep -hoE 'Options::[a-z_][a-z0-9_]*' "${DOCS[@]}" \
+           | sed 's/^Options:://' | sort -u)
 
 echo "== docs-check: buffer-pool metric families documented =="
 # The fra_bufpool_* families are the observable surface of the zero-copy

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
-# CI entry point. Three build/test stages, selectable by argument:
+# CI entry point. Nine stages, selectable by argument:
 #
 #   scripts/ci.sh tracing-on      # default build (FRA_ENABLE_TRACING=ON), full ctest
 #   scripts/ci.sh tracing-off     # spans compiled out, full ctest
-#   scripts/ci.sh sanitize        # ASan+UBSan, observability-labeled tests
+#   scripts/ci.sh sanitize        # ASan+UBSan, observability|net|index-labeled tests
 #   scripts/ci.sh sanitize-thread # TSan, net-labeled tests (reactor/TCP/coalescer)
 #   scripts/ci.sh bench-smoke     # bench harnesses at smoke scale + BENCH_*.json
 #   scripts/ci.sh alloc-smoke     # warm-path allocation budget (buffer pool)

@@ -123,8 +123,14 @@ Result<std::unique_ptr<ServiceProvider>> ServiceProvider::Create(
       options.delta >= 1.0) {
     return Status::InvalidArgument("require epsilon > 0 and delta in (0,1)");
   }
-  if (options.coalescing.enabled && options.coalescing.max_batch_size == 0) {
-    return Status::InvalidArgument("coalescing.max_batch_size must be >= 1");
+  if (options.coalescing.enabled) {
+    if (options.coalescing.max_batch_size == 0) {
+      return Status::InvalidArgument("coalescing.max_batch_size must be >= 1");
+    }
+    if (network->reactor() == nullptr) {
+      return Status::InvalidArgument(
+          "coalescing needs a reactor transport (TcpNetwork)");
+    }
   }
   if (options.cache.enabled) {
     if (options.cache.tile_layer && options.cache.tile_size == 0) {

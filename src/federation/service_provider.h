@@ -98,6 +98,8 @@ class ServiceProvider {
     /// waited `max_batch_delay_us`. Amortises framing and syscalls under
     /// Alg. 4 load; a lone query pays at most the delay. Control-plane
     /// traffic (Alg. 1 grid fetch, SyncGrids) always goes direct.
+    /// Needs a reactor transport (TcpNetwork): Create rejects it over a
+    /// network whose reactor() is null.
     struct CoalescingOptions {
       bool enabled = false;
       size_t max_batch_size = 16;

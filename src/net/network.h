@@ -155,9 +155,8 @@ class Network {
   /// The non-blocking variant: `done` fires exactly once with the
   /// outcome, and the per-silo counters/observer are recorded in front of
   /// it — identically to Call, which is implemented over the same
-  /// accounting. Transports without a native async path (in-process, the
-  /// legacy pooled TCP mode) run the exchange synchronously on the
-  /// calling thread before returning.
+  /// accounting. Transports without a native async path (in-process) run
+  /// the exchange synchronously on the calling thread before returning.
   void CallAsync(int silo_id, const std::vector<uint8_t>& request,
                  CallCallback done);
 
@@ -172,8 +171,8 @@ class Network {
 
   /// The event-loop substrate driving this transport's async calls, or
   /// nullptr for purely synchronous transports. The RequestCoalescer
-  /// uses it to flush deadline-triggered batches from the reactor
-  /// instead of a dedicated flusher thread per silo.
+  /// requires one: its deadline flushes are timers on the reactor's
+  /// loops.
   virtual Reactor* reactor() { return nullptr; }
 
   /// Stable transport label for per-silo metrics ("inprocess", "tcp").

@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <fcntl.h>
+#include <netinet/in.h>
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
@@ -573,6 +574,37 @@ Status SetNonBlocking(int fd) {
     return Status::IOError(std::string("fcntl: ") + std::strerror(errno));
   }
   return Status::OK();
+}
+
+Result<LoopbackListener> ListenLoopback(uint16_t port, int backlog) {
+  const int fd =
+      ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
+  if (fd < 0) {
+    return Status::IOError(std::string("socket: ") + std::strerror(errno));
+  }
+  const auto fail = [fd](const char* what) {
+    const Status status =
+        Status::IOError(std::string(what) + ": " + std::strerror(errno));
+    ::close(fd);
+    return status;
+  };
+  const int enable = 1;
+  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &enable, sizeof(enable));
+  sockaddr_in address{};
+  address.sin_family = AF_INET;
+  address.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  address.sin_port = htons(port);
+  if (::bind(fd, reinterpret_cast<sockaddr*>(&address), sizeof(address)) <
+      0) {
+    return fail("bind");
+  }
+  socklen_t address_length = sizeof(address);
+  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&address),
+                    &address_length) < 0) {
+    return fail("getsockname");
+  }
+  if (::listen(fd, backlog) < 0) return fail("listen");
+  return LoopbackListener{fd, ntohs(address.sin_port)};
 }
 
 }  // namespace fra

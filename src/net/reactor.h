@@ -287,11 +287,11 @@ class FrameWriter {
   size_t pending_bytes_ = 0;
 };
 
-/// What an accept() failure means for the accept loop. Factored out so
-/// the policy is unit-testable and shared by the reactor and legacy
-/// accept paths (the old loop killed the listener on ANY errno other
-/// than EINTR — one aborted handshake or a transient fd-limit spike
-/// silently stopped the server).
+/// What an accept() failure means for an accept handler. Factored out so
+/// the policy is unit-testable and shared by TcpSiloServer and
+/// AdminServer (an accept loop that killed the listener on ANY errno
+/// other than EINTR let one aborted handshake or a transient fd-limit
+/// spike silently stop the server).
 enum class AcceptAction {
   kRetry,    // transient per-connection failure: try the next accept
   kBackoff,  // resource exhaustion (EMFILE/ENFILE/...): pause briefly,
@@ -302,6 +302,18 @@ AcceptAction ClassifyAcceptErrno(int err);
 
 /// Puts `fd` into non-blocking mode.
 Status SetNonBlocking(int fd);
+
+/// A listening socket from ListenLoopback.
+struct LoopbackListener {
+  int fd = -1;
+  uint16_t port = 0;  // the bound port (resolved when 0 was requested)
+};
+
+/// The listen sequence both servers share: a non-blocking socket with
+/// SO_REUSEADDR, bound to 127.0.0.1:`port` (0 picks an ephemeral port)
+/// and listening with `backlog`. Every failure path closes the socket,
+/// so a server whose Start fails holds no fd.
+Result<LoopbackListener> ListenLoopback(uint16_t port, int backlog);
 
 }  // namespace fra
 

@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <cstring>
+#include <future>
 #include <string>
 #include <utility>
 
 #include "net/message.h"
 #include "net/reactor.h"
+#include "util/logging.h"
 #include "util/metrics.h"
 #include "util/trace.h"
 
@@ -24,9 +26,9 @@ const std::vector<double>& BatchSizeBuckets() {
 }  // namespace
 
 RequestCoalescer::RequestCoalescer(Network* network, const Options& options)
-    : network_(network),
-      options_(options),
-      use_reactor_(network->reactor() != nullptr) {
+    : network_(network), options_(options) {
+  FRA_CHECK(network->reactor() != nullptr)
+      << "request coalescing needs a reactor transport (TcpNetwork)";
   MetricsRegistry& registry = MetricsRegistry::Default();
   flushes_size_ =
       &registry.GetCounter("fra_batch_flushes_total", {{"reason", "size"}});
@@ -46,49 +48,32 @@ RequestCoalescer::~RequestCoalescer() {
     queues.reserve(queues_.size());
     for (auto& [id, queue] : queues_) queues.emplace_back(id, queue.get());
   }
-  if (use_reactor_) {
-    // Disarm every pending deadline timer on its loop (SubmitAndWait
-    // also serialises after any still-queued arming task), then ship
-    // what is still staged so every caller gets an answer. The shutdown
-    // batch's completion captures no coalescer state, so it may safely
-    // land after this destructor returns.
-    for (auto& [silo_id, queue] : queues) {
-      {
-        std::lock_guard<std::mutex> lock(queue->mu);
-        queue->stopping = true;
-      }
-      if (queue->loop != nullptr) {
-        queue->loop->SubmitAndWait([queue] {
-          std::lock_guard<std::mutex> lock(queue->mu);
-          if (queue->timer_armed) {
-            queue->timer_armed = false;
-            if (queue->timer_id != 0) {
-              queue->loop->CancelTimer(queue->timer_id);
-              queue->timer_id = 0;
-            }
-          }
-        });
-      }
-      std::vector<std::unique_ptr<Pending>> batch;
-      {
-        std::lock_guard<std::mutex> lock(queue->mu);
-        batch.swap(queue->staged);
-      }
-      if (!batch.empty()) SendBatch(silo_id, std::move(batch), "shutdown");
-    }
-    return;
-  }
-  // Thread substrate: stop every flusher; each drains its queue
-  // (reason=shutdown) on exit, so no staged caller is left waiting.
+  // Disarm every pending deadline timer on its loop (SubmitAndWait also
+  // serialises after any still-queued arming task), then ship what is
+  // still staged so every caller gets an answer. The shutdown batch's
+  // completion captures no coalescer state, so it may safely land after
+  // this destructor returns.
   for (auto& [silo_id, queue] : queues) {
     {
       std::lock_guard<std::mutex> lock(queue->mu);
       queue->stopping = true;
     }
-    queue->wake.notify_all();
-  }
-  for (auto& [silo_id, queue] : queues) {
-    if (queue->flusher.joinable()) queue->flusher.join();
+    queue->loop->SubmitAndWait([queue] {
+      std::lock_guard<std::mutex> lock(queue->mu);
+      if (queue->timer_armed) {
+        queue->timer_armed = false;
+        if (queue->timer_id != 0) {
+          queue->loop->CancelTimer(queue->timer_id);
+          queue->timer_id = 0;
+        }
+      }
+    });
+    std::vector<std::unique_ptr<Pending>> batch;
+    {
+      std::lock_guard<std::mutex> lock(queue->mu);
+      batch.swap(queue->staged);
+    }
+    if (!batch.empty()) SendBatch(silo_id, std::move(batch), "shutdown");
   }
 }
 
@@ -97,13 +82,7 @@ RequestCoalescer::SiloQueue* RequestCoalescer::QueueFor(int silo_id) {
   auto it = queues_.find(silo_id);
   if (it == queues_.end()) {
     it = queues_.emplace(silo_id, std::make_unique<SiloQueue>()).first;
-    SiloQueue* queue = it->second.get();
-    if (use_reactor_) {
-      queue->loop = network_->reactor()->NextLoop();
-    } else {
-      queue->flusher =
-          std::thread([this, silo_id, queue] { FlusherLoop(silo_id, queue); });
-    }
+    it->second->loop = network_->reactor()->NextLoop();
   }
   return it->second.get();
 }
@@ -166,22 +145,13 @@ void RequestCoalescer::Stage(int silo_id, const std::vector<uint8_t>& request,
     staged_gauge_->Add(1.0);
     if (queue->staged.size() >= std::max<size_t>(1, options_.max_batch_size)) {
       to_send.swap(queue->staged);
-    } else if (use_reactor_) {
-      if (options_.max_batch_delay_us <= 0) {
-        // Eager mode: nothing to wait for, ship the lone entry now.
-        to_send.swap(queue->staged);
-        reason = "deadline";
-      } else if (!queue->timer_armed && !queue->stopping) {
-        queue->timer_armed = true;
-        arm = true;
-      }
-    } else {
-      // The flusher (re)arms its deadline off the oldest staged entry.
-      // Signal while still holding the lock: once a caller's entry is
-      // observable (staged gauge), the destructor may run — its shutdown
-      // flush acquires this same mutex before the queue is freed, so the
-      // cv must not be touched after the lock is released.
-      queue->wake.notify_one();
+    } else if (options_.max_batch_delay_us <= 0) {
+      // Eager mode: nothing to wait for, ship the lone entry now.
+      to_send.swap(queue->staged);
+      reason = "deadline";
+    } else if (!queue->timer_armed && !queue->stopping) {
+      queue->timer_armed = true;
+      arm = true;
     }
   }
   if (!to_send.empty()) {
@@ -263,33 +233,6 @@ void RequestCoalescer::OnDeadline(int silo_id, SiloQueue* queue) {
   if (!batch.empty()) SendBatch(silo_id, std::move(batch), "deadline");
 }
 
-void RequestCoalescer::FlusherLoop(int silo_id, SiloQueue* queue) {
-  const auto delay =
-      std::chrono::microseconds(std::max(0, options_.max_batch_delay_us));
-  std::unique_lock<std::mutex> lock(queue->mu);
-  while (!queue->stopping) {
-    if (queue->staged.empty()) {
-      queue->wake.wait(lock);
-      continue;
-    }
-    const auto deadline = queue->oldest_at + delay;
-    if (std::chrono::steady_clock::now() < deadline) {
-      queue->wake.wait_until(lock, deadline);
-      continue;  // re-evaluate: staged may have been size-flushed
-    }
-    std::vector<std::unique_ptr<Pending>> batch;
-    batch.swap(queue->staged);
-    lock.unlock();
-    SendBatch(silo_id, std::move(batch), "deadline");
-    lock.lock();
-  }
-  // Shutdown: ship what is still staged so every caller gets an answer.
-  std::vector<std::unique_ptr<Pending>> batch;
-  batch.swap(queue->staged);
-  lock.unlock();
-  if (!batch.empty()) SendBatch(silo_id, std::move(batch), "shutdown");
-}
-
 void RequestCoalescer::SendBatch(int silo_id,
                                  std::vector<std::unique_ptr<Pending>> batch,
                                  const char* reason) {
@@ -306,8 +249,8 @@ void RequestCoalescer::SendBatch(int silo_id,
 
   // The batch frame is the header (type tag + entry count) followed by
   // the staged per-entry segments, shipped as a scatter-gather chunk
-  // list: nothing is concatenated here, and on the reactor transport the
-  // chunks reach the socket through one vectored send.
+  // list: nothing is concatenated here, and the chunks reach the socket
+  // through one vectored send.
   // Queue-wait attribution: each entry's staged time is charged to its
   // query's cost tracker now, while the staging caller is still waiting
   // on the exchange (so the tracker is alive by construction).
@@ -333,10 +276,9 @@ void RequestCoalescer::SendBatch(int silo_id,
 
   // The scatter captures only the batch itself — never `this` — so a
   // batch still in flight when the coalescer is destroyed completes
-  // safely (the network outlives the coalescer by contract). On a
-  // reactor transport it runs on an event-loop thread; on synchronous
-  // transports CallAsyncChunks degrades to an inline exchange, preserving
-  // the old blocking behaviour of size- and flusher-triggered sends.
+  // safely (the network outlives the coalescer by contract). It runs on
+  // an event-loop thread, or inline when the call fails before reaching
+  // the loop.
   auto shared =
       std::make_shared<std::vector<std::unique_ptr<Pending>>>(std::move(batch));
   network_->CallAsyncChunks(
@@ -369,8 +311,8 @@ void RequestCoalescer::SendBatch(int silo_id,
         for (size_t i = 0; i < shared->size(); ++i) {
           (*shared)[i]->done(std::move((*decoded)[i]));
         }
-        // The batch response buffer (a pooled frame payload on the
-        // reactor path) has been fully scattered; recycle it.
+        // The batch response buffer (a pooled frame payload) has been
+        // fully scattered; recycle it.
         BufferPool::Default().Release(std::move(*response));
       });
 }

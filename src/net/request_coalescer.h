@@ -2,12 +2,9 @@
 #define FRA_NET_REQUEST_COALESCER_H_
 
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
-#include <future>
 #include <memory>
 #include <mutex>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -40,14 +37,11 @@ class Histogram;
 ///               (bounding the latency a lone query pays for batching),
 ///   * shutdown — destruction flushes whatever is still staged.
 ///
-/// The deadline trigger runs on one of two substrates:
-///
-///   * reactor — when the wrapped network exposes a Reactor (TcpNetwork's
-///     default mode), the deadline is a timer-wheel entry on one of its
-///     event loops and batches ship through Network::CallAsync; the
-///     coalescer owns no threads at all.
-///   * thread  — otherwise (in-process network, legacy TCP pool) a
-///     per-silo flusher thread arms the deadline, exactly as before.
+/// Coalescing is a feature of reactor transports (TcpNetwork): the
+/// deadline is a timer-wheel entry on one of the network's event loops
+/// and batches ship through Network::CallAsyncChunks, so the coalescer
+/// owns no threads. In process there are no frames or syscalls to
+/// amortise, and a network without a reactor is rejected.
 ///
 /// The response frame's entries are scattered positionally back to the
 /// waiting callers. Per-entry failures arrive as embedded error-response
@@ -75,19 +69,19 @@ class RequestCoalescer {
     size_t max_batch_size = 16;
     /// Flush when the oldest staged request has waited this long, so a
     /// lone query is delayed at most this much. <= 0 flushes eagerly.
-    /// On the reactor substrate the wheel's 1 ms tick rounds the delay
-    /// up to the next millisecond.
+    /// The timer wheel's 1 ms tick rounds the delay up to the next
+    /// millisecond.
     int max_batch_delay_us = 200;
   };
 
+  /// `network` must have a reactor (FRA_CHECKed).
   RequestCoalescer(Network* network, const Options& options);
 
   RequestCoalescer(const RequestCoalescer&) = delete;
   RequestCoalescer& operator=(const RequestCoalescer&) = delete;
 
-  /// Flushes every staged request (reason=shutdown); joins the per-silo
-  /// flusher threads (thread substrate) or cancels the armed deadline
-  /// timers (reactor substrate).
+  /// Cancels the armed deadline timers and flushes every staged request
+  /// (reason=shutdown).
   ~RequestCoalescer();
 
   /// Stages `request` for `silo_id` and blocks until its response entry
@@ -98,9 +92,8 @@ class RequestCoalescer {
 
   /// The non-blocking variant: stages `request` and returns; `done`
   /// fires exactly once with the response entry or the batch's failure.
-  /// On the reactor substrate `done` runs on an event-loop thread — it
-  /// must be quick and must never block on another exchange through the
-  /// same network.
+  /// `done` may run on an event-loop thread — it must be quick and must
+  /// never block on another exchange through the same network.
   void CallAsync(int silo_id, const std::vector<uint8_t>& request,
                  CallCallback done);
 
@@ -125,13 +118,11 @@ class RequestCoalescer {
   };
   struct SiloQueue {
     std::mutex mu;  // guards staged/oldest_at/stopping/timer_*
-    std::condition_variable wake;
     std::vector<std::unique_ptr<Pending>> staged;
     std::chrono::steady_clock::time_point oldest_at;
     bool stopping = false;
-    std::thread flusher;  // thread substrate only
 
-    // Reactor substrate: the loop owning this silo's deadline timer.
+    // The loop owning this silo's deadline timer.
     EventLoop* loop = nullptr;
     bool timer_armed = false;
     uint64_t timer_id = 0;  // 0 while the arming task is still queued
@@ -141,12 +132,10 @@ class RequestCoalescer {
   /// The shared staging path behind Call and CallAsync.
   void Stage(int silo_id, const std::vector<uint8_t>& request,
              CallCallback done);
-  void FlusherLoop(int silo_id, SiloQueue* queue);  // thread substrate
-  /// Reactor substrate: schedules the deadline timer on the queue's loop.
+  /// Schedules the deadline timer on the queue's loop.
   void ArmDeadline(int silo_id, SiloQueue* queue);
-  /// Reactor substrate, loop thread: fires the deadline flush, or
-  /// re-arms when a size flush already took the batch the timer was
-  /// armed for.
+  /// Loop thread: fires the deadline flush, or re-arms when a size flush
+  /// already took the batch the timer was armed for.
   void OnDeadline(int silo_id, SiloQueue* queue);
   /// Ships one batch via Network::CallAsync and scatters the response
   /// entries (or the failure) to every staged caller. The completion is
@@ -157,7 +146,6 @@ class RequestCoalescer {
 
   Network* const network_;
   const Options options_;
-  const bool use_reactor_;  // network_->reactor() != nullptr at ctor time
 
   std::mutex mu_;  // guards queues_ map structure
   std::unordered_map<int, std::unique_ptr<SiloQueue>> queues_;

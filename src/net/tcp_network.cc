@@ -1,10 +1,8 @@
 #include "net/tcp_network.h"
 
 #include <arpa/inet.h>
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <poll.h>
 #include <sys/epoll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -25,44 +23,6 @@
 #include "util/trace.h"
 
 namespace fra {
-
-/// A fixed point in time every socket wait measures against; the
-/// never-expiring default means "block forever" (legacy server-side
-/// reads, request_timeout_ms <= 0).
-struct DeadlinePoint {
-  std::chrono::steady_clock::time_point at;
-  bool bounded = false;
-
-  static DeadlinePoint After(int ms) {
-    DeadlinePoint deadline;
-    if (ms > 0) {
-      deadline.at =
-          std::chrono::steady_clock::now() + std::chrono::milliseconds(ms);
-      deadline.bounded = true;
-    }
-    return deadline;
-  }
-
-  static DeadlinePoint Unbounded() { return DeadlinePoint{}; }
-
-  /// The earlier of two deadlines (an unbounded one never wins).
-  static DeadlinePoint Earliest(const DeadlinePoint& a,
-                                const DeadlinePoint& b) {
-    if (!a.bounded) return b;
-    if (!b.bounded) return a;
-    return a.at < b.at ? a : b;
-  }
-
-  /// Remaining milliseconds, clamped to 0; -1 when unbounded (the poll
-  /// convention for "wait forever").
-  int RemainingMs() const {
-    if (!bounded) return -1;
-    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-        at - std::chrono::steady_clock::now());
-    return std::max<int>(0, static_cast<int>(left.count()));
-  }
-};
-
 namespace {
 
 // Server-side read backpressure: stop reading new requests off a
@@ -78,100 +38,11 @@ constexpr size_t kServerWriterPauseBytes = 4u << 20;
 // promptly.
 constexpr int kAcceptBackoffMs = 20;
 
-Status DeadlineExceeded(const char* what, bool* timed_out) {
-  if (timed_out != nullptr) *timed_out = true;
-  return Status::Unavailable(std::string("deadline exceeded: ") + what);
-}
-
-// Blocks until `fd` is ready for `events` or `deadline` passes. A
-// positive return from poll() only promises progress (some readable
-// bytes / some buffer space), so callers loop.
-Status WaitReady(int fd, short events, const DeadlinePoint& deadline,
-                 const char* what, bool* timed_out) {
-  for (;;) {
-    pollfd entry{};
-    entry.fd = fd;
-    entry.events = events;
-    const int n = ::poll(&entry, 1, deadline.RemainingMs());
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::IOError(std::string("poll: ") + std::strerror(errno));
-    }
-    if (n == 0) return DeadlineExceeded(what, timed_out);
-    // POLLERR/POLLHUP fall through: the pending recv/send/getsockopt
-    // reports the concrete error.
-    return Status::OK();
-  }
-}
-
-Status WriteAll(int fd, const void* data, size_t size,
-                const DeadlinePoint& deadline, bool* timed_out) {
-  const char* p = static_cast<const char*>(data);
-  while (size > 0) {
-    FRA_RETURN_NOT_OK(
-        WaitReady(fd, POLLOUT, deadline, "waiting to send", timed_out));
-    const ssize_t n = ::send(fd, p, size, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
-      return Status::IOError(std::string("send: ") + std::strerror(errno));
-    }
-    p += n;
-    size -= static_cast<size_t>(n);
-  }
-  return Status::OK();
-}
-
-Status ReadAll(int fd, void* data, size_t size, const DeadlinePoint& deadline,
-               bool* timed_out) {
-  char* p = static_cast<char*>(data);
-  while (size > 0) {
-    FRA_RETURN_NOT_OK(
-        WaitReady(fd, POLLIN, deadline, "waiting for response", timed_out));
-    const ssize_t n = ::recv(fd, p, size, 0);
-    if (n < 0) {
-      if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
-      return Status::IOError(std::string("recv: ") + std::strerror(errno));
-    }
-    if (n == 0) return Status::Unavailable("peer closed connection");
-    p += n;
-    size -= static_cast<size_t>(n);
-  }
-  return Status::OK();
-}
-
-// Frame layout: u32 length in network byte order (big-endian), then
-// `length` payload bytes — see docs/wire_protocol.md. The send-side
-// size guard mirrors the receive guard: an unchecked payload over 4 GiB
-// would be silently truncated by the u32 cast and desync the stream.
-Status WriteFrame(int fd, const std::vector<uint8_t>& payload,
-                  const DeadlinePoint& deadline, bool* timed_out) {
-  FRA_RETURN_NOT_OK(ValidateFramePayloadSize(payload.size()));
-  const uint32_t length = htonl(static_cast<uint32_t>(payload.size()));
-  FRA_RETURN_NOT_OK(WriteAll(fd, &length, sizeof(length), deadline,
-                             timed_out));
-  if (!payload.empty()) {
-    FRA_RETURN_NOT_OK(
-        WriteAll(fd, payload.data(), payload.size(), deadline, timed_out));
-  }
-  return Status::OK();
-}
-
-Result<std::vector<uint8_t>> ReadFrame(int fd, const DeadlinePoint& deadline,
-                                       bool* timed_out) {
-  uint32_t wire_length = 0;
-  FRA_RETURN_NOT_OK(
-      ReadAll(fd, &wire_length, sizeof(wire_length), deadline, timed_out));
-  const uint32_t length = ntohl(wire_length);
-  if (length > kMaxFrameBytes) {
-    return Status::OutOfRange("frame exceeds limit");
-  }
-  std::vector<uint8_t> payload(length);
-  if (length > 0) {
-    FRA_RETURN_NOT_OK(
-        ReadAll(fd, payload.data(), payload.size(), deadline, timed_out));
-  }
-  return payload;
-}
+// Client side: connections opened per silo; past this, calls pipeline
+// onto the least-loaded connection, up to kMaxPipelinePerConnection
+// requests each before dispatch stalls.
+constexpr size_t kMaxConnectionsPerSilo = 8;
+constexpr size_t kMaxPipelinePerConnection = 4096;
 
 void CloseFd(int* fd) {
   if (*fd >= 0) {
@@ -185,51 +56,8 @@ void SetNoDelay(int fd) {
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &enable, sizeof(enable));
 }
 
-// Non-blocking connect to 127.0.0.1:port bounded by `deadline` (the
-// legacy blocking pool's dial; the reactor path dials via the loop).
-Result<int> DialLoopback(uint16_t port, const DeadlinePoint& deadline,
-                         bool* timed_out) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    return Status::IOError(std::string("socket: ") + std::strerror(errno));
-  }
-  const Status nonblocking = SetNonBlocking(fd);
-  if (!nonblocking.ok()) {
-    ::close(fd);
-    return nonblocking;
-  }
-  sockaddr_in address{};
-  address.sin_family = AF_INET;
-  address.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  address.sin_port = htons(port);
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&address), sizeof(address)) <
-      0 && errno != EINPROGRESS) {
-    const Status status =
-        Status::Unavailable(std::string("connect: ") + std::strerror(errno));
-    ::close(fd);
-    return status;
-  }
-  const Status ready =
-      WaitReady(fd, POLLOUT, deadline, "connecting", timed_out);
-  if (!ready.ok()) {
-    ::close(fd);
-    return ready;
-  }
-  int error = 0;
-  socklen_t error_length = sizeof(error);
-  if (::getsockopt(fd, SOL_SOCKET, SO_ERROR, &error, &error_length) < 0 ||
-      error != 0) {
-    const Status status = Status::Unavailable(
-        std::string("connect: ") + std::strerror(error != 0 ? error : errno));
-    ::close(fd);
-    return status;
-  }
-  SetNoDelay(fd);
-  return fd;
-}
-
-// Handler workers back every blocking HandleMessage in reactor mode;
-// enough of them to overlap blocking silo work even on small machines.
+// Handler workers back every blocking HandleMessage; enough of them to
+// overlap blocking silo work even on small machines.
 size_t DefaultHandlerThreads() {
   return std::max<size_t>(8, std::thread::hardware_concurrency());
 }
@@ -273,8 +101,8 @@ struct TcpSiloServer::Conn {
   uint32_t interest = EPOLLIN;
   bool closed = false;
   // Peer closed its write side while responses are still pending: finish
-  // writing them, then close (matches the legacy sequential loop, which
-  // only noticed EOF after replying).
+  // writing them, then close (a request sent before the half-close is
+  // still answered).
   bool draining = false;
   // Last pending_bytes() reported to the process-wide backpressure
   // gauge; the gauge is kept consistent by deltas because connections
@@ -302,75 +130,27 @@ struct TcpSiloServer::Conn {
 
 Result<std::unique_ptr<TcpSiloServer>> TcpSiloServer::Start(
     SiloEndpoint* endpoint, uint16_t port) {
-  return Start(endpoint, port, Options{});
-}
-
-Result<std::unique_ptr<TcpSiloServer>> TcpSiloServer::Start(
-    SiloEndpoint* endpoint, uint16_t port, const Options& options) {
   if (endpoint == nullptr) {
     return Status::InvalidArgument("null endpoint");
   }
+  FRA_ASSIGN_OR_RETURN(const LoopbackListener listener,
+                       ListenLoopback(port, 256));
   auto server = std::unique_ptr<TcpSiloServer>(new TcpSiloServer());
   server->endpoint_ = endpoint;
-  server->options_ = options;
-  FRA_RETURN_NOT_OK(server->StartListener(port));
-  if (options.use_reactor) {
-    FRA_RETURN_NOT_OK(server->StartReactor());
-  } else {
-    server->accept_thread_ = std::thread([raw = server.get()] {
-      raw->AcceptLoop();
-    });
-  }
-  return server;
-}
-
-Status TcpSiloServer::StartListener(uint16_t port) {
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) {
-    return Status::IOError(std::string("socket: ") + std::strerror(errno));
-  }
-  const int enable = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &enable, sizeof(enable));
-
-  sockaddr_in address{};
-  address.sin_family = AF_INET;
-  address.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  address.sin_port = htons(port);
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&address),
-             sizeof(address)) < 0) {
-    return Status::IOError(std::string("bind: ") + std::strerror(errno));
-  }
-  socklen_t address_length = sizeof(address);
-  if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&address),
-                    &address_length) < 0) {
-    return Status::IOError(std::string("getsockname: ") +
-                           std::strerror(errno));
-  }
-  port_ = ntohs(address.sin_port);
-  if (::listen(listen_fd_, 256) < 0) {
-    return Status::IOError(std::string("listen: ") + std::strerror(errno));
-  }
-  return Status::OK();
-}
-
-Status TcpSiloServer::StartReactor() {
-  FRA_RETURN_NOT_OK(SetNonBlocking(listen_fd_));
-  if (options_.reactor != nullptr) {
-    reactor_ = options_.reactor;
-  } else {
-    owned_reactor_ = std::make_unique<Reactor>(options_.reactor_threads);
-    reactor_ = owned_reactor_.get();
-  }
-  handler_pool_ = std::make_unique<ThreadPool>(
-      options_.worker_threads > 0 ? options_.worker_threads
-                                  : DefaultHandlerThreads());
-  accept_loop_ = reactor_->loop(0);
+  server->listen_fd_ = listener.fd;
+  server->port_ = listener.port;
+  server->reactor_ = std::make_unique<Reactor>();
+  server->handler_pool_ =
+      std::make_unique<ThreadPool>(DefaultHandlerThreads());
+  server->accept_loop_ = server->reactor_->loop(0);
+  TcpSiloServer* raw = server.get();
   Status registered = Status::OK();
-  accept_loop_->SubmitAndWait([this, &registered] {
-    registered = accept_loop_->RegisterFd(
-        listen_fd_, EPOLLIN, [this](uint32_t) { OnAcceptReady(); });
+  raw->accept_loop_->SubmitAndWait([raw, &registered] {
+    registered = raw->accept_loop_->RegisterFd(
+        raw->listen_fd_, EPOLLIN, [raw](uint32_t) { raw->OnAcceptReady(); });
   });
-  return registered;
+  FRA_RETURN_NOT_OK(registered);
+  return server;
 }
 
 void TcpSiloServer::OnAcceptReady() {
@@ -572,160 +352,32 @@ TcpSiloServer::~TcpSiloServer() { Stop(); }
 
 void TcpSiloServer::Stop() {
   if (stopping_.exchange(true)) return;
-  if (options_.use_reactor) {
-    if (accept_loop_ != nullptr) {
-      accept_loop_->SubmitAndWait([this] {
-        if (listen_fd_ >= 0) {
-          accept_loop_->DeregisterFd(listen_fd_);
-          CloseFd(&listen_fd_);
-        }
-      });
-    }
-    // Drain in-flight handlers; their completions land on the loops and
-    // flush whatever responses the sockets will still take.
-    handler_pool_.reset();
-    std::vector<std::shared_ptr<Conn>> conns;
-    {
-      std::lock_guard<std::mutex> lock(conns_mu_);
-      conns.assign(conns_.begin(), conns_.end());
-    }
-    // SubmitAndWait doubles as a barrier: completions queued above run
-    // before the close (per-loop FIFO), so graceful responses go out.
-    for (const std::shared_ptr<Conn>& conn : conns) {
-      conn->loop->SubmitAndWait([this, conn] { CloseConn(conn); });
-    }
-    if (owned_reactor_) owned_reactor_->Stop();
-    return;
-  }
-  // Legacy mode: shut the listening socket down; accept() wakes with an
-  // error classified kFatal. The fd itself is closed only after the
-  // accept thread joins — it reads listen_fd_ unsynchronized, so the
-  // join must order that read before the close's write.
-  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
-  if (accept_thread_.joinable()) accept_thread_.join();
-  CloseFd(&listen_fd_);
-  std::unordered_map<int, std::thread> workers;
-  std::vector<std::thread> retired;
+  accept_loop_->SubmitAndWait([this] {
+    accept_loop_->DeregisterFd(listen_fd_);
+    CloseFd(&listen_fd_);
+  });
+  // Drain in-flight handlers; their completions land on the loops and
+  // flush whatever responses the sockets will still take.
+  handler_pool_.reset();
+  std::vector<std::shared_ptr<Conn>> conns;
   {
-    std::lock_guard<std::mutex> lock(workers_mu_);
-    workers.swap(workers_);
-    retired.swap(retired_);
-    // Wake workers blocked in recv() on live connections; each closes
-    // its own fd on exit.
-    for (int fd : active_fds_) ::shutdown(fd, SHUT_RDWR);
+    std::lock_guard<std::mutex> lock(conns_mu_);
+    conns.assign(conns_.begin(), conns_.end());
   }
-  for (auto& [fd, worker] : workers) {
-    if (worker.joinable()) worker.join();
+  // SubmitAndWait doubles as a barrier: completions queued above run
+  // before the close (per-loop FIFO), so graceful responses go out.
+  for (const std::shared_ptr<Conn>& conn : conns) {
+    conn->loop->SubmitAndWait([this, conn] { CloseConn(conn); });
   }
-  for (std::thread& worker : retired) {
-    if (worker.joinable()) worker.join();
-  }
-}
-
-size_t TcpSiloServer::tracked_connection_threads() const {
-  std::lock_guard<std::mutex> lock(workers_mu_);
-  return workers_.size() + retired_.size();
+  reactor_->Stop();
 }
 
 size_t TcpSiloServer::open_connections() const {
-  if (options_.use_reactor) {
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    return conns_.size();
-  }
-  std::lock_guard<std::mutex> lock(workers_mu_);
-  return active_fds_.size();
+  std::lock_guard<std::mutex> lock(conns_mu_);
+  return conns_.size();
 }
 
-void TcpSiloServer::ReapRetired() {
-  std::vector<std::thread> retired;
-  {
-    std::lock_guard<std::mutex> lock(workers_mu_);
-    retired.swap(retired_);
-  }
-  for (std::thread& worker : retired) {
-    if (worker.joinable()) worker.join();
-  }
-}
-
-void TcpSiloServer::AcceptLoop() {
-  while (!stopping_.load()) {
-    // Join connection threads that have finished since the last accept:
-    // under churn the tracked set stays bounded by the number of LIVE
-    // connections instead of growing one dead thread per connection ever
-    // accepted.
-    ReapRetired();
-    const int connection_fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (connection_fd < 0) {
-      if (stopping_.load()) return;
-      const int accept_errno = errno;
-      switch (ClassifyAcceptErrno(accept_errno)) {
-        case AcceptAction::kRetry:
-          continue;
-        case AcceptAction::kBackoff:
-          FRA_LOG(WARN) << "silo server accept backoff: "
-                        << std::strerror(accept_errno) << "; sleeping "
-                        << kAcceptBackoffMs << "ms";
-          std::this_thread::sleep_for(
-              std::chrono::milliseconds(kAcceptBackoffMs));
-          continue;
-        case AcceptAction::kFatal:
-          FRA_LOG(ERROR) << "silo server listener lost: "
-                         << std::strerror(accept_errno)
-                         << "; accept loop exiting";
-          return;  // the listening socket itself is gone
-      }
-      continue;
-    }
-    SetNoDelay(connection_fd);
-    std::lock_guard<std::mutex> lock(workers_mu_);
-    if (stopping_.load()) {
-      ::close(connection_fd);
-      return;
-    }
-    active_fds_.insert(connection_fd);
-    workers_.emplace(connection_fd, std::thread([this, connection_fd] {
-                       ServeConnection(connection_fd);
-                     }));
-  }
-}
-
-void TcpSiloServer::ServeConnection(int connection_fd) {
-  int fd = connection_fd;
-  const DeadlinePoint no_deadline = DeadlinePoint::Unbounded();
-  while (!stopping_.load()) {
-    Result<std::vector<uint8_t>> request =
-        ReadFrame(fd, no_deadline, nullptr);
-    if (!request.ok()) break;  // closed or broken: drop the connection
-    std::vector<uint8_t> payload = std::move(request).ValueOrDie();
-    ConstByteSpan view(payload);
-    const uint64_t trace_id = StripTraceEnvelopeView(&view);
-    ScopedTraceId trace_scope(trace_id);
-    SpanCollector collector;
-    Result<std::vector<uint8_t>> response = endpoint_->HandleMessageView(view);
-    BufferPool::Default().Release(std::move(payload));
-    std::vector<uint8_t> frame =
-        response.ok() ? std::move(response).ValueOrDie()
-                      : EncodeErrorResponse(response.status());
-    AppendSpanSection(collector.Take(), &frame);
-    requests_served_.fetch_add(1, std::memory_order_relaxed);
-    if (!WriteFrame(fd, frame, no_deadline, nullptr).ok()) break;
-  }
-  {
-    std::lock_guard<std::mutex> lock(workers_mu_);
-    active_fds_.erase(fd);
-    // Hand this thread's own handle to the retired list for the accept
-    // loop to join — a thread cannot join itself. The map entry must go
-    // before close(): the OS may reuse the fd for the next accept.
-    const auto it = workers_.find(fd);
-    if (it != workers_.end()) {
-      retired_.push_back(std::move(it->second));
-      workers_.erase(it);
-    }
-  }
-  CloseFd(&fd);
-}
-
-// --- TcpNetwork: reactor-mode state ----------------------------------------
+// --- TcpNetwork -------------------------------------------------------------
 
 /// One in-flight call. Created on the caller's thread, then owned by the
 /// silo's loop: queued, bound to a connection, finished exactly once.
@@ -758,8 +410,7 @@ struct TcpNetwork::ClientConn {
 };
 
 /// One registered silo: its event loop, the not-yet-assigned op queue,
-/// its connections, and the registry instruments the legacy pool also
-/// maintains (same metric families either mode).
+/// its connections, and its registry instruments.
 struct TcpNetwork::SiloState {
   SiloState(int id, uint16_t silo_port) : silo_id(id), port(silo_port) {
     const std::string silo = std::to_string(silo_id);
@@ -795,16 +446,9 @@ struct TcpNetwork::SiloState {
   Gauge* backpressure_gauge;       // unsent request bytes, all connections
 };
 
-TcpNetwork::TcpNetwork(const Options& options) : options_(options) {
-  if (options_.use_reactor) {
-    if (options_.reactor != nullptr) {
-      reactor_ = options_.reactor;
-    } else {
-      owned_reactor_ = std::make_unique<Reactor>(options_.reactor_threads);
-      reactor_ = owned_reactor_.get();
-    }
-  }
-}
+TcpNetwork::TcpNetwork(const Options& options)
+    : options_(options),
+      reactor_(std::make_unique<Reactor>(options.reactor_threads)) {}
 
 TcpNetwork::~TcpNetwork() {
   std::vector<SiloState*> states;
@@ -835,35 +479,14 @@ TcpNetwork::~TcpNetwork() {
       UpdateGauges(state);
     });
   }
-  if (owned_reactor_) owned_reactor_->Stop();
-
-  // Legacy pools.
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& [id, pool] : pools_) {
-    std::lock_guard<std::mutex> pool_lock(pool->mu);
-    pool->closed = true;  // checked-out fds close at Release
-    for (int fd : pool->idle) ::close(fd);
-    pool->open -= pool->idle.size();
-    pool->idle.clear();
-    pool->UpdateGauges();
-  }
+  reactor_->Stop();
 }
 
 Status TcpNetwork::AddSilo(int silo_id, uint16_t port) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (options_.use_reactor) {
-    auto state = std::make_unique<SiloState>(silo_id, port);
-    state->loop = reactor_->NextLoop();
-    const auto [it, inserted] = silos_.emplace(silo_id, std::move(state));
-    (void)it;
-    if (!inserted) {
-      return Status::AlreadyExists("silo id " + std::to_string(silo_id) +
-                                   " already registered");
-    }
-    return Status::OK();
-  }
-  const auto [it, inserted] =
-      pools_.emplace(silo_id, std::make_unique<SiloPool>(silo_id, port));
+  auto state = std::make_unique<SiloState>(silo_id, port);
+  state->loop = reactor_->NextLoop();
+  const auto [it, inserted] = silos_.emplace(silo_id, std::move(state));
   (void)it;
   if (!inserted) {
     return Status::AlreadyExists("silo id " + std::to_string(silo_id) +
@@ -874,12 +497,11 @@ Status TcpNetwork::AddSilo(int silo_id, uint16_t port) {
 
 Result<std::vector<uint8_t>> TcpNetwork::CallImpl(
     int silo_id, const std::vector<uint8_t>& request) {
-  if (!options_.use_reactor) return LegacyCall(silo_id, request);
   FRA_TRACE_SPAN("net.tcp.call");
   auto promise =
       std::make_shared<std::promise<Result<std::vector<uint8_t>>>>();
   std::future<Result<std::vector<uint8_t>>> future = promise->get_future();
-  CallOnReactor(silo_id, request,
+  CallAsyncImpl(silo_id, request,
                 [promise](Result<std::vector<uint8_t>> outcome) {
                   promise->set_value(std::move(outcome));
                 });
@@ -889,39 +511,37 @@ Result<std::vector<uint8_t>> TcpNetwork::CallImpl(
 void TcpNetwork::CallAsyncImpl(int silo_id,
                                const std::vector<uint8_t>& request,
                                CallCallback done) {
-  if (!options_.use_reactor) {
-    done(LegacyCall(silo_id, request));
-    return;
-  }
-  CallOnReactor(silo_id, request, std::move(done));
+  // The op keeps its bytes for a retry, so the caller's request (which
+  // it may free on return) is copied once into a pooled chunk.
+  std::vector<uint8_t> copy = BufferPool::Default().Acquire(request.size());
+  copy.insert(copy.end(), request.begin(), request.end());
+  std::vector<BufferRef> chunks;
+  chunks.push_back(BufferRef::Wrap(std::move(copy)));
+  CallAsyncChunksImpl(silo_id, std::move(chunks), std::move(done));
 }
 
-void TcpNetwork::CallOnReactor(int silo_id,
-                               const std::vector<uint8_t>& request,
-                               CallCallback done) {
+void TcpNetwork::CallAsyncChunksImpl(int silo_id,
+                                     std::vector<BufferRef> chunks,
+                                     CallCallback done) {
+  // Peek the message type off the leading chunk BEFORE prepending any
+  // envelope — the batch gauge keys off the application frame type.
+  bool is_batch = false;
+  for (const BufferRef& chunk : chunks) {
+    if (chunk.empty()) continue;
+    is_batch = static_cast<MessageType>(chunk.data()[0]) ==
+               MessageType::kAggregateBatchRequest;
+    break;
+  }
   // Under an active trace, ship the trace id ahead of the payload so the
   // silo process records its spans under the same id. The caller's
-  // thread holds the trace context, so the wrap happens here, not on the
-  // loop.
+  // thread holds the trace context, so the envelope is built here, not
+  // on the loop.
   const uint64_t trace_id = CurrentTraceId();
-  const bool is_batch =
-      !request.empty() && static_cast<MessageType>(request[0]) ==
-                              MessageType::kAggregateBatchRequest;
-  std::vector<uint8_t> wire;
   if (trace_id != 0) {
-    wire = WrapWithTraceId(trace_id, request);
-  } else {
-    wire = BufferPool::Default().Acquire(request.size());
-    wire.insert(wire.end(), request.begin(), request.end());
+    // The envelope alone (an empty payload wrapped), as the first chunk.
+    chunks.insert(chunks.begin(),
+                  BufferRef::Wrap(WrapWithTraceId(trace_id, {})));
   }
-  std::vector<BufferRef> chunks;
-  chunks.push_back(BufferRef::Wrap(std::move(wire)));
-  CallChunksOnReactor(silo_id, std::move(chunks), is_batch, std::move(done));
-}
-
-void TcpNetwork::CallChunksOnReactor(int silo_id,
-                                     std::vector<BufferRef> chunks,
-                                     bool is_batch, CallCallback done) {
   SiloState* state = nullptr;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -946,44 +566,6 @@ void TcpNetwork::CallChunksOnReactor(int silo_id,
   if (!state->loop->Submit([this, state, op] { EnqueueOp(state, op); })) {
     op->done(Status::Unavailable("tcp network is shutting down"));
   }
-}
-
-void TcpNetwork::CallAsyncChunksImpl(int silo_id,
-                                     std::vector<BufferRef> chunks,
-                                     CallCallback done) {
-  if (!options_.use_reactor) {
-    // Legacy blocking mode has no scatter path: join once and degrade.
-    size_t total = 0;
-    for (const BufferRef& chunk : chunks) total += chunk.size();
-    std::vector<uint8_t> request = BufferPool::Default().Acquire(total);
-    for (const BufferRef& chunk : chunks) {
-      request.insert(request.end(), chunk.data(), chunk.data() + chunk.size());
-    }
-    chunks.clear();
-    done(LegacyCall(silo_id, request));
-    BufferPool::Default().Release(std::move(request));
-    return;
-  }
-  // Peek the message type off the leading chunk BEFORE prepending any
-  // envelope — the batch gauge keys off the application frame type.
-  bool is_batch = false;
-  for (const BufferRef& chunk : chunks) {
-    if (chunk.empty()) continue;
-    is_batch = static_cast<MessageType>(chunk.data()[0]) ==
-               MessageType::kAggregateBatchRequest;
-    break;
-  }
-  const uint64_t trace_id = CurrentTraceId();
-  if (trace_id != 0) {
-    std::vector<uint8_t> envelope =
-        BufferPool::Default().Acquire(kTraceEnvelopeBytes);
-    envelope.push_back(kTraceEnvelopeTag);
-    for (int shift = 0; shift < 64; shift += 8) {
-      envelope.push_back(static_cast<uint8_t>(trace_id >> shift));
-    }
-    chunks.insert(chunks.begin(), BufferRef::Wrap(std::move(envelope)));
-  }
-  CallChunksOnReactor(silo_id, std::move(chunks), is_batch, std::move(done));
 }
 
 void TcpNetwork::EnqueueOp(SiloState* state, const std::shared_ptr<Op>& op) {
@@ -1056,8 +638,8 @@ void TcpNetwork::DispatchQueue(SiloState* state) {
     }
     return nullptr;
   };
-  // 1. Idle ready connections take work first (the pool-parallelism the
-  //    legacy mode provided).
+  // 1. Idle ready connections take work first (one request per socket
+  //    while sockets are free: the silo serves them in parallel).
   for (const std::shared_ptr<ClientConn>& conn : state->conns) {
     if (state->queue.empty()) break;
     if (!conn->closed && conn->state == ClientConn::kReady &&
@@ -1074,7 +656,7 @@ void TcpNetwork::DispatchQueue(SiloState* state) {
     if (conn->state == ClientConn::kConnecting) ++connecting;
   }
   while (!state->queue.empty() &&
-         state->conns.size() < options_.max_connections_per_silo &&
+         state->conns.size() < kMaxConnectionsPerSilo &&
          connecting < state->queue.size()) {
     DialConn(state);
     if (state->shutdown || state->queue.empty()) break;
@@ -1084,13 +666,11 @@ void TcpNetwork::DispatchQueue(SiloState* state) {
   //    in-flight capacity beyond connection count is what makes 10k
   //    concurrent calls cost wheel entries instead of sockets.
   while (!state->queue.empty() &&
-         state->conns.size() >= options_.max_connections_per_silo) {
+         state->conns.size() >= kMaxConnectionsPerSilo) {
     std::shared_ptr<ClientConn> best;
     for (const std::shared_ptr<ClientConn>& conn : state->conns) {
       if (conn->closed || conn->state != ClientConn::kReady) continue;
-      if (conn->inflight.size() >= options_.max_pipeline_per_connection) {
-        continue;
-      }
+      if (conn->inflight.size() >= kMaxPipelinePerConnection) continue;
       if (best == nullptr || conn->inflight.size() < best->inflight.size()) {
         best = conn;
       }
@@ -1149,7 +729,7 @@ void TcpNetwork::DialConn(SiloState* state) {
         Status::Unavailable(std::string("connect: ") + std::strerror(errno));
     ::close(fd);
     // Dial failures fail every queued op as-is: a fresh attempt would
-    // dial the same dead endpoint (legacy semantics).
+    // dial the same dead endpoint.
     while (!state->queue.empty()) {
       const std::shared_ptr<Op> op = state->queue.front();
       state->queue.pop_front();
@@ -1334,191 +914,16 @@ void TcpNetwork::UpdateGauges(SiloState* state) {
   state->backpressure_gauge->Set(static_cast<double>(unsent));
 }
 
-// --- TcpNetwork: legacy blocking pool --------------------------------------
-
-TcpNetwork::SiloPool::SiloPool(int silo_id, uint16_t pool_port)
-    : port(pool_port) {
-  const std::string silo = std::to_string(silo_id);
-  MetricsRegistry& registry = MetricsRegistry::Default();
-  open_gauge =
-      &registry.GetGauge("fra_tcp_pool_open_connections", {{"silo", silo}});
-  busy_gauge =
-      &registry.GetGauge("fra_tcp_pool_busy_connections", {{"silo", silo}});
-  inflight_batches_gauge =
-      &registry.GetGauge("fra_tcp_inflight_batches", {{"silo", silo}});
-  batch_frames_total =
-      &registry.GetCounter("fra_tcp_batch_frames_total", {{"silo", silo}});
-}
-
-void TcpNetwork::SiloPool::UpdateGauges() {
-  open_gauge->Set(static_cast<double>(open));
-  busy_gauge->Set(static_cast<double>(open - idle.size()));
-}
-
-Result<int> TcpNetwork::Acquire(SiloPool* pool,
-                                const DeadlinePoint& deadline,
-                                bool* timed_out) {
-  std::unique_lock<std::mutex> lock(pool->mu);
-  for (;;) {
-    if (!pool->idle.empty()) {
-      const int fd = pool->idle.back();
-      pool->idle.pop_back();
-      pool->UpdateGauges();
-      return fd;
-    }
-    if (pool->open < options_.max_connections_per_silo) {
-      ++pool->open;  // reserve the slot while dialling unlocked
-      pool->UpdateGauges();
-      lock.unlock();
-      const DeadlinePoint connect_deadline = DeadlinePoint::Earliest(
-          DeadlinePoint::After(options_.connect_timeout_ms), deadline);
-      Result<int> dialled =
-          DialLoopback(pool->port, connect_deadline, timed_out);
-      if (!dialled.ok()) {
-        lock.lock();
-        --pool->open;
-        pool->UpdateGauges();
-        pool->released.notify_one();
-      }
-      return dialled;
-    }
-    // Pool exhausted: wait for a Release (deadline-bounded).
-    if (!deadline.bounded) {
-      pool->released.wait(lock);
-    } else if (pool->released.wait_for(
-                   lock, std::chrono::milliseconds(deadline.RemainingMs())) ==
-                   std::cv_status::timeout &&
-               pool->idle.empty() &&
-               pool->open >= options_.max_connections_per_silo) {
-      return DeadlineExceeded("waiting for a pooled connection", timed_out);
-    }
-  }
-}
-
-// A transport error on one connection usually means the silo process
-// restarted, which invalidates every pooled connection to it at once —
-// close them so the retry dials fresh instead of popping another stale fd.
-void TcpNetwork::FlushIdle(SiloPool* pool) {
-  std::lock_guard<std::mutex> lock(pool->mu);
-  for (int fd : pool->idle) ::close(fd);
-  pool->open -= pool->idle.size();
-  pool->idle.clear();
-  pool->UpdateGauges();
-  pool->released.notify_all();
-}
-
-void TcpNetwork::Release(SiloPool* pool, int fd, bool reusable) {
-  std::lock_guard<std::mutex> lock(pool->mu);
-  if (reusable && !pool->closed) {
-    pool->idle.push_back(fd);
-  } else {
-    ::close(fd);
-    --pool->open;
-  }
-  pool->UpdateGauges();
-  pool->released.notify_one();
-}
-
-Result<std::vector<uint8_t>> TcpNetwork::LegacyCall(
-    int silo_id, const std::vector<uint8_t>& request) {
-  FRA_TRACE_SPAN("net.tcp.call");
-  // Under an active trace, ship the trace id ahead of the payload so the
-  // silo process records its spans under the same trace id.
-  const uint64_t trace_id = CurrentTraceId();
-  const std::vector<uint8_t> wrapped =
-      trace_id != 0 ? WrapWithTraceId(trace_id, request)
-                    : std::vector<uint8_t>();
-  const std::vector<uint8_t>& wire = trace_id != 0 ? wrapped : request;
-  FRA_RETURN_NOT_OK(ValidateFramePayloadSize(wire.size()));
-  SiloPool* pool = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    const auto it = pools_.find(silo_id);
-    if (it == pools_.end()) {
-      return Status::Unavailable("no silo registered under id " +
-                                 std::to_string(silo_id));
-    }
-    pool = it->second.get();
-  }
-
-  // Coalesced-frame accounting: peek the ORIGINAL payload's type (the
-  // trace envelope would hide it) and hold the in-flight gauge across
-  // every return path of the exchange below.
-  struct BatchInflight {
-    Gauge* gauge = nullptr;
-    ~BatchInflight() {
-      if (gauge != nullptr) gauge->Add(-1.0);
-    }
-  } batch_inflight;
-  if (!request.empty() && static_cast<MessageType>(request[0]) ==
-                              MessageType::kAggregateBatchRequest) {
-    pool->batch_frames_total->Increment();
-    pool->inflight_batches_gauge->Add(1.0);
-    batch_inflight.gauge = pool->inflight_batches_gauge;
-  }
-
-  const DeadlinePoint deadline =
-      DeadlinePoint::After(options_.request_timeout_ms);
-  // Try a pooled connection once; on a transport error reconnect and
-  // retry once (the silo process may have restarted between calls). A
-  // deadline expiry is terminal: retrying cannot finish in time.
-  Status last_failure = Status::OK();
-  for (int attempt = 0; attempt < 2; ++attempt) {
-    bool timed_out = false;
-    Result<int> acquired = Acquire(pool, deadline, &timed_out);
-    if (!acquired.ok()) {
-      // Dial failures (connection refused, timeout) are returned as-is:
-      // a fresh attempt would dial the same dead endpoint.
-      return acquired.status();
-    }
-    const int fd = std::move(acquired).ValueOrDie();
-
-    const Status written = WriteFrame(fd, wire, deadline, &timed_out);
-    if (!written.ok()) {
-      Release(pool, fd, /*reusable=*/false);
-      if (timed_out) return written;
-      FRA_LOG(INFO) << "send to silo " << silo_id
-                    << " failed on a pooled connection ("
-                    << written.ToString() << "); reconnecting to retry once";
-      last_failure = written;
-      FlushIdle(pool);
-      continue;  // reconnect and retry
-    }
-    Result<std::vector<uint8_t>> response =
-        ReadFrame(fd, deadline, &timed_out);
-    if (!response.ok()) {
-      // A timed-out connection is never pooled again: the silo may still
-      // send the stale response, which would poison the next exchange.
-      Release(pool, fd, /*reusable=*/false);
-      if (timed_out) return response.status();
-      last_failure = response.status();
-      FlushIdle(pool);
-      continue;
-    }
-    Release(pool, fd, /*reusable=*/true);
-    stats_.RecordExchange(wire.size(), response->size());
-    return response;
-  }
-  return Status::Unavailable("silo " + std::to_string(silo_id) +
-                             " unreachable after reconnect: " +
-                             last_failure.ToString());
-}
-
 size_t TcpNetwork::num_silos() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return options_.use_reactor ? silos_.size() : pools_.size();
+  return silos_.size();
 }
 
 std::vector<int> TcpNetwork::silo_ids() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<int> ids;
-  if (options_.use_reactor) {
-    ids.reserve(silos_.size());
-    for (const auto& [id, state] : silos_) ids.push_back(id);
-  } else {
-    ids.reserve(pools_.size());
-    for (const auto& [id, pool] : pools_) ids.push_back(id);
-  }
+  ids.reserve(silos_.size());
+  for (const auto& [id, state] : silos_) ids.push_back(id);
   return ids;
 }
 

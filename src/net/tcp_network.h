@@ -2,12 +2,9 @@
 #define FRA_NET_TCP_NETWORK_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <string>
-#include <thread>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -18,8 +15,6 @@
 
 namespace fra {
 
-class Counter;
-class Gauge;
 class ThreadPool;
 
 /// Serves one SiloEndpoint over TCP — the silo side of the paper's
@@ -30,42 +25,17 @@ class ThreadPool;
 /// messages the in-process network carries). Requests on one connection
 /// may be pipelined; responses come back in request order.
 ///
-/// Two serving modes (docs/architecture.md):
-///
-///   * reactor (default) — all connections are served by N single-
-///     threaded epoll event loops; handlers run on a fixed worker pool so
-///     the loops never block on query execution. Thread usage is constant
-///     regardless of connection count.
-///   * legacy thread-per-connection (Options::use_reactor = false) — one
-///     blocking thread per accepted connection, kept as the before/after
-///     baseline for BENCH_tcp_fanout.json. Finished connection threads
-///     are reaped by the accept loop, so connection churn no longer grows
-///     the thread vector without bound.
+/// All connections are served by N single-threaded epoll event loops
+/// (docs/architecture.md); handlers run on a fixed worker pool so the
+/// loops never block on query execution. Thread usage is constant
+/// regardless of connection count.
 class TcpSiloServer {
  public:
-  struct Options {
-    /// false selects the legacy thread-per-connection mode.
-    bool use_reactor = true;
-    /// Event-loop threads; 0 means Reactor::DefaultThreadCount().
-    /// Ignored when `reactor` is set or use_reactor is false.
-    size_t reactor_threads = 0;
-    /// Handler worker threads (reactor mode); 0 picks a default sized
-    /// for overlapping blocking silo work.
-    size_t worker_threads = 0;
-    /// Serve from this externally owned reactor instead of an internal
-    /// one. Must outlive the server (Stop() deregisters everything from
-    /// its loops, so call Stop before stopping a shared reactor).
-    Reactor* reactor = nullptr;
-  };
-
   /// Binds 127.0.0.1:`port` (0 picks an ephemeral port), starts serving
   /// `endpoint` (not owned; must outlive the server) until
   /// Stop()/destruction.
   static Result<std::unique_ptr<TcpSiloServer>> Start(SiloEndpoint* endpoint,
                                                       uint16_t port = 0);
-  static Result<std::unique_ptr<TcpSiloServer>> Start(SiloEndpoint* endpoint,
-                                                      uint16_t port,
-                                                      const Options& options);
 
   TcpSiloServer(const TcpSiloServer&) = delete;
   TcpSiloServer& operator=(const TcpSiloServer&) = delete;
@@ -81,25 +51,17 @@ class TcpSiloServer {
     return requests_served_.load(std::memory_order_relaxed);
   }
 
-  /// Per-connection serving threads currently tracked (live plus
-  /// finished-but-unjoined). Always 0 in reactor mode — the point of the
-  /// reactor: thread usage does not scale with connections.
-  size_t tracked_connection_threads() const;
-
   /// Accepted connections currently open.
   size_t open_connections() const;
 
   void Stop();
 
  private:
-  struct Conn;  // reactor-mode connection state machine (tcp_network.cc)
+  struct Conn;  // per-connection state machine (tcp_network.cc)
 
   TcpSiloServer() = default;
 
-  Status StartListener(uint16_t port);
-
-  // Reactor path. All On*/Close methods run on the connection's loop.
-  Status StartReactor();
+  // All On*/Close methods run on the connection's loop.
   void OnAcceptReady();
   void AdoptConnection(int fd, EventLoop* loop);
   void OnConnEvent(const std::shared_ptr<Conn>& conn, uint32_t events);
@@ -109,78 +71,43 @@ class TcpSiloServer {
   void UpdateConnInterest(const std::shared_ptr<Conn>& conn);
   void CloseConn(const std::shared_ptr<Conn>& conn);
 
-  // Legacy thread-per-connection path.
-  void AcceptLoop();
-  void ServeConnection(int connection_fd);
-  void ReapRetired();  // joins finished connection threads
-
   SiloEndpoint* endpoint_ = nullptr;
-  Options options_;
   int listen_fd_ = -1;
   uint16_t port_ = 0;
   std::atomic<bool> stopping_{false};
   std::atomic<uint64_t> requests_served_{0};
 
-  // Reactor mode.
-  std::unique_ptr<Reactor> owned_reactor_;
-  Reactor* reactor_ = nullptr;  // owned_reactor_.get() or external
+  std::unique_ptr<Reactor> reactor_;
   EventLoop* accept_loop_ = nullptr;
   std::unique_ptr<ThreadPool> handler_pool_;
   mutable std::mutex conns_mu_;
   std::unordered_set<std::shared_ptr<Conn>> conns_;
-
-  // Legacy mode.
-  std::thread accept_thread_;
-  mutable std::mutex workers_mu_;  // guards the three members below
-  std::unordered_map<int, std::thread> workers_;  // connection fd -> thread
-  std::vector<std::thread> retired_;  // finished; joined by the accept loop
-  std::unordered_set<int> active_fds_;
 };
 
 /// The provider-side transport over real sockets.
 ///
-/// Reactor mode (default): every silo's connections live on one event
-/// loop of a shared reactor; Call/CallAsync submit an operation to that
-/// loop, which dials non-blocking connections (up to
-/// max_connections_per_silo), pipelines requests onto them, and matches
-/// responses positionally. Request and connect deadlines are timer-wheel
-/// entries on the loop — 10k in-flight calls cost 10k wheel entries, not
-/// 10k blocked threads — and a hung or unreachable silo yields
-/// Status::Unavailable within Options::request_timeout_ms. A transport
-/// error retries the affected operations once on a fresh connection (the
-/// silo process may have restarted between calls); deadline expiry is
-/// terminal.
-///
-/// Legacy mode (Options::use_reactor = false) keeps the PR 3 blocking
-/// pool: a Call checks a connection out, performs the poll-bounded
-/// exchange on the calling thread, and returns it.
+/// Every silo's connections live on one event loop of the network's
+/// reactor; Call/CallAsync submit an operation to that loop, which dials
+/// non-blocking connections (up to 8 per silo), pipelines requests onto
+/// them (up to 4096 per connection), and matches responses positionally.
+/// Request and connect deadlines are timer-wheel entries on the loop —
+/// 10k in-flight calls cost 10k wheel entries, not 10k blocked threads —
+/// and a hung or unreachable silo yields Status::Unavailable within
+/// Options::request_timeout_ms. A transport error retries the affected
+/// operations once on a fresh connection (the silo process may have
+/// restarted between calls); deadline expiry is terminal.
 class TcpNetwork : public Network {
  public:
   struct Options {
-    /// Upper bound on concurrently open connections per silo. In reactor
-    /// mode further calls pipeline onto the least-loaded connection; in
-    /// legacy mode they wait (deadline-bounded) for a release.
-    size_t max_connections_per_silo = 8;
     /// Time allowed for establishing one TCP connection, in
-    /// milliseconds; <= 0 disables the bound. Also clipped by the
-    /// request deadline when one is set (legacy mode).
+    /// milliseconds; <= 0 disables the bound.
     int connect_timeout_ms = 5000;
     /// Deadline for one whole Call — queueing, connect if needed,
     /// request write, response read — in milliseconds; <= 0 disables
     /// the bound (a hung silo then blocks the calling worker forever).
     int request_timeout_ms = 30000;
-    /// false selects the legacy blocking pool.
-    bool use_reactor = true;
     /// Event-loop threads; 0 means Reactor::DefaultThreadCount().
-    /// Ignored when `reactor` is set or use_reactor is false.
     size_t reactor_threads = 0;
-    /// Drive calls from this externally owned reactor instead of an
-    /// internal one. Must outlive the network.
-    Reactor* reactor = nullptr;
-    /// Reactor mode: requests pipelined per connection before dispatch
-    /// stalls (total in-flight capacity per silo is this times
-    /// max_connections_per_silo).
-    size_t max_pipeline_per_connection = 4096;
   };
 
   TcpNetwork() : TcpNetwork(Options()) {}
@@ -198,10 +125,8 @@ class TcpNetwork : public Network {
   size_t num_silos() const override;
   std::vector<int> silo_ids() const override;
 
-  /// The reactor driving async calls; nullptr in legacy mode.
-  Reactor* reactor() override {
-    return options_.use_reactor ? reactor_ : nullptr;
-  }
+  /// The reactor driving every call.
+  Reactor* reactor() override { return reactor_.get(); }
 
   const Options& options() const { return options_; }
 
@@ -210,23 +135,17 @@ class TcpNetwork : public Network {
       int silo_id, const std::vector<uint8_t>& request) override;
   void CallAsyncImpl(int silo_id, const std::vector<uint8_t>& request,
                      CallCallback done) override;
-  /// Scatter-gather path: in reactor mode the chunks feed the frame
-  /// writer's iovec queue as-is (one vectored send, no join); legacy mode
-  /// concatenates once and degrades to the blocking exchange.
+  /// The one send path: the chunks feed the frame writer's iovec queue
+  /// as-is (one vectored send, no join).
   void CallAsyncChunksImpl(int silo_id, std::vector<BufferRef> chunks,
                            CallCallback done) override;
 
  private:
-  // Reactor-mode state machines (tcp_network.cc).
   struct Op;          // one in-flight call
   struct ClientConn;  // one non-blocking connection
   struct SiloState;   // one silo: its loop, queue, connections, gauges
 
-  // Reactor path; everything below Enqueue runs on the silo's loop.
-  void CallOnReactor(int silo_id, const std::vector<uint8_t>& request,
-                     CallCallback done);
-  void CallChunksOnReactor(int silo_id, std::vector<BufferRef> chunks,
-                           bool is_batch, CallCallback done);
+  // Everything below runs on the silo's loop.
   void EnqueueOp(SiloState* state, const std::shared_ptr<Op>& op);
   void DispatchQueue(SiloState* state);
   void AssignOp(SiloState* state, const std::shared_ptr<ClientConn>& conn,
@@ -242,51 +161,11 @@ class TcpNetwork : public Network {
                 Result<std::vector<uint8_t>> outcome);
   void UpdateGauges(SiloState* state);
 
-  /// Legacy blocking pool of one silo. `open` counts every live socket
-  /// (idle + checked out); gauges mirror it into the metrics registry.
-  struct SiloPool {
-    SiloPool(int silo_id, uint16_t port);
-
-    const uint16_t port;
-    std::mutex mu;  // guards idle/open
-    std::condition_variable released;
-    std::vector<int> idle;  // connected fds ready for checkout
-    size_t open = 0;
-    bool closed = false;  // network destroyed: release() closes fds
-
-    // Registry instruments, resolved once per silo. Request/timeout
-    // counters live at the Network::Call boundary (transport-agnostic);
-    // the pool owns its occupancy gauges plus the coalesced-frame
-    // accounting (how many kAggregateBatchRequest exchanges are on the
-    // wire to this silo right now, and how many it has carried total).
-    Gauge* open_gauge;
-    Gauge* busy_gauge;
-    Gauge* inflight_batches_gauge;
-    Counter* batch_frames_total;
-
-    void UpdateGauges();  // callers hold mu
-  };
-
-  Result<std::vector<uint8_t>> LegacyCall(int silo_id,
-                                          const std::vector<uint8_t>& request);
-  /// Checks a connection out of `pool`, dialling a new one when the pool
-  /// has spare capacity. Blocks (deadline-bounded) when `open` has
-  /// reached max_connections_per_silo. Sets *timed_out when the failure
-  /// was the deadline.
-  Result<int> Acquire(SiloPool* pool, const struct DeadlinePoint& deadline,
-                      bool* timed_out);
-  /// Returns a connection to the pool (`reusable`) or closes it.
-  void Release(SiloPool* pool, int fd, bool reusable);
-  /// Closes every idle connection of `pool` (stale after a silo restart).
-  void FlushIdle(SiloPool* pool);
-
   const Options options_;
-  std::unique_ptr<Reactor> owned_reactor_;
-  Reactor* reactor_ = nullptr;  // owned_reactor_.get() or external
+  std::unique_ptr<Reactor> reactor_;
 
-  mutable std::mutex mu_;  // guards the two maps' structure
-  std::unordered_map<int, std::unique_ptr<SiloState>> silos_;  // reactor
-  std::unordered_map<int, std::unique_ptr<SiloPool>> pools_;   // legacy
+  mutable std::mutex mu_;  // guards the map's structure
+  std::unordered_map<int, std::unique_ptr<SiloState>> silos_;
 };
 
 }  // namespace fra

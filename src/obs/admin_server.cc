@@ -1,6 +1,5 @@
 #include "obs/admin_server.h"
 
-#include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/epoll.h>
@@ -147,33 +146,10 @@ Result<std::unique_ptr<AdminServer>> AdminServer::Start(
   // Every scraped process carries its build provenance as a series.
   RegisterBuildInfoMetric();
 
-  server->listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (server->listen_fd_ < 0) {
-    return Status::IOError(std::string("socket: ") + std::strerror(errno));
-  }
-  const int enable = 1;
-  ::setsockopt(server->listen_fd_, SOL_SOCKET, SO_REUSEADDR, &enable,
-               sizeof(enable));
-  sockaddr_in address{};
-  address.sin_family = AF_INET;
-  address.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  address.sin_port = htons(options.port);
-  if (::bind(server->listen_fd_, reinterpret_cast<sockaddr*>(&address),
-             sizeof(address)) < 0) {
-    return Status::IOError(std::string("bind: ") + std::strerror(errno));
-  }
-  socklen_t address_len = sizeof(address);
-  if (::getsockname(server->listen_fd_,
-                    reinterpret_cast<sockaddr*>(&address),
-                    &address_len) < 0) {
-    return Status::IOError(std::string("getsockname: ") +
-                           std::strerror(errno));
-  }
-  server->port_ = ntohs(address.sin_port);
-  if (::listen(server->listen_fd_, 64) < 0) {
-    return Status::IOError(std::string("listen: ") + std::strerror(errno));
-  }
-  FRA_RETURN_NOT_OK(SetNonBlocking(server->listen_fd_));
+  FRA_ASSIGN_OR_RETURN(const LoopbackListener listener,
+                       ListenLoopback(options.port, 64));
+  server->listen_fd_ = listener.fd;
+  server->port_ = listener.port;
 
   if (options.reactor != nullptr) {
     server->reactor_ = options.reactor;

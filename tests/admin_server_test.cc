@@ -146,6 +146,19 @@ TEST(AdminServerTest, GracefulShutdownClosesTheSocket) {
   EXPECT_FALSE(HttpGet(port, "/healthz").ok());
 }
 
+TEST(AdminServerTest, FailedStartLeaksNoListenerFd) {
+  auto holder = AdminServer::Start().ValueOrDie();
+  const size_t baseline = testing::OpenFdCount();
+  // The port is taken, so each Start fails at bind; it must close the
+  // socket it opened.
+  AdminServer::Options options;
+  options.port = holder->port();
+  for (int i = 0; i < 5; ++i) {
+    EXPECT_FALSE(AdminServer::Start(options).ok());
+  }
+  EXPECT_EQ(testing::OpenFdCount(), baseline);
+}
+
 // --- Federation acceptance scenario ---------------------------------------
 
 const Rect kDomain{{0, 0}, {40, 40}};

@@ -1,8 +1,8 @@
-// Per-silo request coalescing: flush triggers, failure propagation, and
-// the answer-preservation contract — batching is a wire-path optimisation
-// only, so EXACT answers must stay bit-identical and the sampling
-// estimators must make the same choices with coalescing off, on, and
-// degenerate (max_batch_size = 1).
+// Per-silo request coalescing over the reactor TCP transport: flush
+// triggers, failure propagation, and the answer-preservation contract —
+// batching is a wire-path optimisation only, so EXACT answers must stay
+// bit-identical and the sampling estimators must make the same choices
+// with coalescing off, on, and degenerate (max_batch_size = 1).
 
 #include "net/request_coalescer.h"
 
@@ -10,7 +10,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <memory>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -45,12 +47,44 @@ std::unique_ptr<Silo> MakeSilo(int id, size_t objects, uint64_t seed) {
       .ValueOrDie();
 }
 
-// A lone staged query must not wait for a full batch: the flusher ships
-// it once max_batch_delay_us elapses.
-TEST(CoalescerTest, DeadlineFlushDeliversLoneQuery) {
-  auto silo = MakeSilo(0, 400, 11);
+// Silos behind real sockets: coalescing is a reactor-transport feature.
+struct TcpFederation {
+  void Add(std::unique_ptr<Silo> silo) {
+    servers.push_back(TcpSiloServer::Start(silo.get()).ValueOrDie());
+    ASSERT_TRUE(network.AddSilo(silo->id(), servers.back()->port()).ok());
+    silos.push_back(std::move(silo));
+  }
+
+  // Destroyed bottom-up: the network, then the servers, then the silos
+  // they serve.
+  std::vector<std::unique_ptr<Silo>> silos;
+  std::vector<std::unique_ptr<TcpSiloServer>> servers;
+  TcpNetwork network;
+};
+
+// Coalescing needs a reactor: over a network without one, Create refuses
+// the option and the coalescer refuses to be built.
+TEST(CoalescerTest, CoalescingWithoutAReactorIsRejected) {
   InProcessNetwork network;
+  EXPECT_DEATH(
+      { RequestCoalescer coalescer(&network, RequestCoalescer::Options{}); },
+      "reactor");
+
+  auto silo = MakeSilo(0, 100, 77);
   ASSERT_TRUE(network.RegisterSilo(0, silo.get()).ok());
+  ServiceProvider::Options options;
+  options.coalescing.enabled = true;
+  const auto provider = ServiceProvider::Create(&network, options);
+  EXPECT_TRUE(provider.status().IsInvalidArgument())
+      << provider.status().ToString();
+}
+
+// A lone staged query must not wait for a full batch: the reactor's
+// timer wheel ships it once max_batch_delay_us elapses.
+TEST(CoalescerTest, DeadlineFlushDeliversLoneQuery) {
+  TcpFederation federation;
+  federation.Add(MakeSilo(0, 400, 11));
+  TcpNetwork& network = federation.network;
 
   ServiceProvider::Options options;
   options.track_silo_health = false;
@@ -71,9 +105,9 @@ TEST(CoalescerTest, DeadlineFlushDeliversLoneQuery) {
 // A burst from concurrent workers against one silo must trigger
 // size-based flushes (the deadline is set far too long to matter).
 TEST(CoalescerTest, SizeFlushUnderBurst) {
-  auto silo = MakeSilo(0, 400, 22);
-  InProcessNetwork network;
-  ASSERT_TRUE(network.RegisterSilo(0, silo.get()).ok());
+  TcpFederation federation;
+  federation.Add(MakeSilo(0, 400, 22));
+  TcpNetwork& network = federation.network;
 
   ServiceProvider::Options options;
   options.track_silo_health = false;
@@ -183,17 +217,15 @@ TEST(CoalescerTest, HungSiloFailsItsBatchWithinDeadline) {
 // on(16) / on(max_batch_size = 1).
 TEST(CoalescerTest, BatchingIsAnswerPreserving) {
   const size_t num_silos = 4;
-  std::vector<std::unique_ptr<Silo>> silos;
-  InProcessNetwork network;
+  TcpFederation federation;
+  TcpNetwork& network = federation.network;
   for (size_t s = 0; s < num_silos; ++s) {
     // Clustered (non-IID) partitions so NonIID-est has real work to do.
-    silos.push_back(
+    federation.Add(
         Silo::Create(static_cast<int>(s),
                      testing::ClusteredObjects(1500, kDomain, 3, 100 + s),
                      SiloOptions())
             .ValueOrDie());
-    ASSERT_TRUE(
-        network.RegisterSilo(static_cast<int>(s), silos.back().get()).ok());
   }
 
   Rng rng(555);
@@ -252,9 +284,9 @@ TEST(CoalescerTest, BatchingIsAnswerPreserving) {
 // Direct coalescer exercise: destruction flushes whatever is staged so
 // no caller is stranded (reason=shutdown).
 TEST(CoalescerTest, ShutdownFlushesStagedRequests) {
-  auto silo = MakeSilo(0, 200, 66);
-  InProcessNetwork network;
-  ASSERT_TRUE(network.RegisterSilo(0, silo.get()).ok());
+  TcpFederation federation;
+  federation.Add(MakeSilo(0, 200, 66));
+  TcpNetwork& network = federation.network;
 
   RequestCoalescer::Options options;
   options.max_batch_size = 64;

@@ -1,10 +1,9 @@
 // The epoll reactor core (timer wheel, event loop, frame state machines,
 // accept-errno policy) plus the network behaviours the reactor exists
 // for: deadlines firing off the wheel, partial-write backpressure with a
-// slow reader, Stop() during in-flight requests, reactor/legacy EXACT
-// equivalence, bounded connection-churn resources in the legacy path,
-// and deadline flushes of the RequestCoalescer running off the reactor
-// instead of flusher threads.
+// slow reader, Stop() during in-flight requests, connection churn
+// returning every connection and fd, and deadline flushes of the
+// RequestCoalescer running off the reactor's timer wheel.
 
 #include "net/reactor.h"
 
@@ -24,7 +23,6 @@
 #include <thread>
 #include <vector>
 
-#include "federation/service_provider.h"
 #include "federation/silo.h"
 #include "net/message.h"
 #include "net/request_coalescer.h"
@@ -609,88 +607,31 @@ TEST(ReactorNetTest, StopDuringInFlightRequestsNeverLosesACallback) {
   EXPECT_EQ(completed.load(), kCalls);
 }
 
-TEST(ReactorNetTest, ReactorAndLegacyExactResultsAreBitIdentical) {
-  std::vector<ObjectSet> partitions;
-  for (int s = 0; s < 2; ++s) {
-    partitions.push_back(testing::RandomObjects(3000, kDomain, 40 + s));
-  }
-  Silo::Options silo_options;
-  silo_options.grid_spec.domain = kDomain;
-  silo_options.grid_spec.cell_length = 2.0;
-
-  std::vector<std::unique_ptr<Silo>> silos;
-  std::vector<std::unique_ptr<TcpSiloServer>> reactor_servers;
-  std::vector<std::unique_ptr<TcpSiloServer>> legacy_servers;
-  TcpSiloServer::Options legacy_server_options;
-  legacy_server_options.use_reactor = false;
-
-  TcpNetwork reactor_net;
-  TcpNetwork::Options legacy_options;
-  legacy_options.use_reactor = false;
-  TcpNetwork legacy_net(legacy_options);
-  ASSERT_NE(reactor_net.reactor(), nullptr);
-  ASSERT_EQ(legacy_net.reactor(), nullptr);
-
-  for (int s = 0; s < 2; ++s) {
-    silos.push_back(Silo::Create(s, partitions[s], silo_options).ValueOrDie());
-    reactor_servers.push_back(
-        TcpSiloServer::Start(silos.back().get()).ValueOrDie());
-    legacy_servers.push_back(
-        TcpSiloServer::Start(silos.back().get(), 0, legacy_server_options)
-            .ValueOrDie());
-    ASSERT_TRUE(reactor_net.AddSilo(s, reactor_servers.back()->port()).ok());
-    ASSERT_TRUE(legacy_net.AddSilo(s, legacy_servers.back()->port()).ok());
-  }
-
-  auto reactor_provider = ServiceProvider::Create(&reactor_net).ValueOrDie();
-  auto legacy_provider = ServiceProvider::Create(&legacy_net).ValueOrDie();
-
-  Rng rng(77);
-  for (int q = 0; q < 8; ++q) {
-    const QueryRange range = testing::RandomRange(kDomain, 9.0, true, &rng);
-    const FraQuery query{range, AggregateKind::kCount};
-    // EXACT is deterministic: both serving substrates must agree bit for
-    // bit.
-    EXPECT_DOUBLE_EQ(
-        reactor_provider->Execute(query, FraAlgorithm::kExact).ValueOrDie(),
-        legacy_provider->Execute(query, FraAlgorithm::kExact).ValueOrDie());
-  }
-}
-
-TEST(ReactorNetTest, LegacyChurnKeepsThreadAndConnectionUsageBounded) {
+TEST(ReactorNetTest, ConnectionChurnReturnsConnectionsAndFds) {
   EchoEndpoint echo;
-  TcpSiloServer::Options options;
-  options.use_reactor = false;
-  auto server = TcpSiloServer::Start(&echo, 0, options).ValueOrDie();
+  auto server = TcpSiloServer::Start(&echo).ValueOrDie();
+  const size_t baseline_fds = testing::OpenFdCount();
 
-  // 50 connect/exchange/close cycles. Before the reaping fix the server
-  // kept one dead std::thread per connection ever accepted; now the
-  // tracked set stays bounded by live connections plus at most a few
-  // finished-but-unreaped threads awaiting the next accept.
-  size_t max_tracked = 0;
+  // 50 connect/exchange/close cycles: each accepted connection must be
+  // closed and forgotten once its peer goes away.
   for (int i = 0; i < 50; ++i) {
+    const std::vector<uint8_t> frame = {static_cast<uint8_t>(i)};
     const int fd = DialBlocking(server->port());
-    SendRawFrame(fd, {static_cast<uint8_t>(i)});
-    EXPECT_EQ(RecvRawFrame(fd), std::vector<uint8_t>({static_cast<uint8_t>(i)}));
+    SendRawFrame(fd, frame);
+    EXPECT_EQ(RecvRawFrame(fd), frame);
     ::close(fd);
-    max_tracked = std::max(max_tracked, server->tracked_connection_threads());
   }
-  EXPECT_LE(max_tracked, 8u) << "connection churn grew the thread set";
-
-  // One more accept reaps everything the closed connections retired.
+  // The loops see the last closes asynchronously.
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  size_t tracked = server->tracked_connection_threads();
-  while (tracked > 2 && std::chrono::steady_clock::now() < deadline) {
-    const int fd = DialBlocking(server->port());
-    SendRawFrame(fd, {1});
-    EXPECT_EQ(RecvRawFrame(fd), std::vector<uint8_t>({1}));
-    ::close(fd);
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    tracked = server->tracked_connection_threads();
+  while ((server->open_connections() != 0 ||
+          testing::OpenFdCount() != baseline_fds) &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
-  EXPECT_LE(tracked, 2u);
-  EXPECT_GE(echo.calls.load(), 50);
+  EXPECT_EQ(server->open_connections(), 0u);
+  EXPECT_EQ(testing::OpenFdCount(), baseline_fds);
+  EXPECT_EQ(echo.calls.load(), 50);
 }
 
 TEST(ReactorNetTest, CoalescerDeadlineFlushRunsOffTheReactor) {
@@ -723,7 +664,7 @@ TEST(ReactorNetTest, CoalescerDeadlineFlushRunsOffTheReactor) {
 
   const uint64_t before = deadline_flushes();
   // A lone request has no batch to ride: only the reactor's timer wheel
-  // can flush it (no flusher thread exists on this substrate).
+  // can flush it (the coalescer owns no threads).
   const auto coalesced = coalescer.Call(3, encoded);
   ASSERT_TRUE(coalesced.ok()) << coalesced.status().ToString();
   EXPECT_GE(deadline_flushes(), before + 1);

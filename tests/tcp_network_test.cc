@@ -200,6 +200,18 @@ TEST(TcpNetworkTest, ConnectionRefusedIsUnavailable) {
   EXPECT_TRUE(network.Call(1, {1}).status().IsUnavailable());
 }
 
+TEST(TcpNetworkTest, FailedServerStartLeaksNoListenerFd) {
+  EchoEndpoint endpoint;
+  auto holder = TcpSiloServer::Start(&endpoint).ValueOrDie();
+  const size_t baseline = testing::OpenFdCount();
+  // The port is taken, so each Start fails at bind; it must close the
+  // socket it opened.
+  for (int i = 0; i < 5; ++i) {
+    EXPECT_FALSE(TcpSiloServer::Start(&endpoint, holder->port()).ok());
+  }
+  EXPECT_EQ(testing::OpenFdCount(), baseline);
+}
+
 TEST(TcpNetworkTest, EndpointErrorsTravelAsErrorResponses) {
   FailingEndpoint endpoint;
   auto server = TcpSiloServer::Start(&endpoint).ValueOrDie();

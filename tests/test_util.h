@@ -2,6 +2,7 @@
 #define FRA_TESTS_TEST_UTIL_H_
 
 #include <arpa/inet.h>
+#include <dirent.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -115,6 +116,19 @@ inline AggregateSummary CellReference(const ObjectSet& objects,
   return SummarizeIf(objects, [&](const Point& p) {
     return grid.CellOf(p) == cell && range.Contains(p);
   });
+}
+
+/// File descriptors this process holds open (the entries of
+/// /proc/self/fd): the leak check of the socket tests.
+inline size_t OpenFdCount() {
+  DIR* dir = ::opendir("/proc/self/fd");
+  if (dir == nullptr) return 0;
+  size_t count = 0;
+  while (const dirent* entry = ::readdir(dir)) {
+    if (entry->d_name[0] != '.') ++count;
+  }
+  ::closedir(dir);
+  return count;
 }
 
 /// One blocking HTTP GET against 127.0.0.1:`port`, full response
