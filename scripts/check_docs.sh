@@ -3,7 +3,8 @@
 #
 #   scripts/check_docs.sh [repo_root]
 #
-# Four guards over docs/*.md + README.md, all pure grep/awk — no build:
+# Four guards over README.md, DESIGN.md, EXPERIMENTS.md and docs/*.md,
+# all pure grep/awk — no build:
 #
 #   1. Internal markdown links resolve: every `[text](target)` whose
 #      target is not an external URL must name an existing file
@@ -27,7 +28,7 @@ set -uo pipefail
 REPO_ROOT="${1:-$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)}"
 cd "${REPO_ROOT}"
 
-DOCS=(README.md docs/*.md)
+DOCS=(README.md DESIGN.md EXPERIMENTS.md docs/*.md)
 failures=0
 
 fail() {

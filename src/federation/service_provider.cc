@@ -25,8 +25,9 @@ namespace {
 // references stay valid for its lifetime, so resolve each (algorithm,
 // outcome) instrument once instead of paying the label-map allocations
 // and registry lock on every query.
-void RecordQueryMetrics(FraAlgorithm algorithm, bool ok, double seconds) {
+void RecordQueryMetrics(const QueryRecord& record) {
   struct Instruments {
+    std::string_view algorithm;
     Counter* ok = nullptr;
     Counter* error = nullptr;
     Histogram* latency = nullptr;
@@ -40,6 +41,7 @@ void RecordQueryMetrics(FraAlgorithm algorithm, bool ok, double seconds) {
       const std::string name = FraAlgorithmToString(a);
       MetricsRegistry& registry = MetricsRegistry::Default();
       out[static_cast<size_t>(a)] = {
+          FraAlgorithmToString(a),
           &registry.GetCounter("fra_queries_total",
                                {{"algorithm", name}, {"result", "ok"}}),
           &registry.GetCounter("fra_queries_total",
@@ -49,9 +51,12 @@ void RecordQueryMetrics(FraAlgorithm algorithm, bool ok, double seconds) {
     }
     return out;
   }();
-  const Instruments& instruments = kInstruments[static_cast<size_t>(algorithm)];
-  (ok ? instruments.ok : instruments.error)->Increment();
-  instruments.latency->Observe(seconds * 1e6);
+  for (const Instruments& instruments : kInstruments) {
+    if (instruments.algorithm != record.algorithm) continue;
+    (record.failed ? instruments.error : instruments.ok)->Increment();
+    instruments.latency->Observe(record.duration_micros);
+    return;
+  }
 }
 
 // Ratio estimate ans' = res * (numer / denom) (Alg. 2 line 8). The paper
@@ -95,21 +100,27 @@ std::string DescribeQuery(const FraQuery& query) {
   return out.str();
 }
 
-}  // namespace
-
-const char* ServiceProvider::CacheOutcomeName(CacheOutcome outcome) {
-  switch (outcome) {
-    case CacheOutcome::kOff:
-      return "off";
-    case CacheOutcome::kHit:
-      return "hit";
-    case CacheOutcome::kTile:
-      return "tile";
-    case CacheOutcome::kMiss:
-      return "miss";
-  }
-  return "off";
+// The within-cell uniformity assumption: adds the federation-wide cell
+// aggregate `g0_cell`, scaled by the fraction of the cell's area that
+// `range` covers, to `estimate`. Serves the tile layer's kFraction
+// boundary cells and NonIID-est's cells where the sampled silo is empty.
+void AddAreaFraction(const GridIndex& grid, const QueryRange& range,
+                     uint32_t cell_id, const AggregateSummary& g0_cell,
+                     AggregateSummary* estimate) {
+  const Rect cell_rect =
+      grid.CellRect(grid.RowOf(cell_id), grid.ColOf(cell_id));
+  const double area = cell_rect.Area();
+  const double fraction =
+      area > 0.0
+          ? std::clamp(range.IntersectionArea(cell_rect) / area, 0.0, 1.0)
+          : 0.0;
+  estimate->count += static_cast<uint64_t>(
+      std::llround(static_cast<double>(g0_cell.count) * fraction));
+  estimate->sum += g0_cell.sum * fraction;
+  estimate->sum_sqr += g0_cell.sum_sqr * fraction;
 }
+
+}  // namespace
 
 Result<std::unique_ptr<ServiceProvider>> ServiceProvider::Create(
     Network* network, const Options& options) {
@@ -183,9 +194,6 @@ Result<std::unique_ptr<ServiceProvider>> ServiceProvider::Create(
     recorder_options.slow_threshold_micros =
         options.flight_recorder.slow_threshold_micros;
     provider->recorder_ = std::make_unique<FlightRecorder>(recorder_options);
-  }
-  if (options.cost_ledger_enabled) {
-    provider->cost_ledger_ = std::make_unique<QueryCostLedger>();
   }
   if (options.profiling.enabled) {
     // The profiler is a process singleton; if another provider (or the
@@ -304,63 +312,62 @@ uint64_t ServiceProvider::SampledTraceId() {
 
 Result<double> ServiceProvider::Execute(const FraQuery& query,
                                         FraAlgorithm algorithm) {
+  return ExecuteRecorded(query, algorithm,
+                         IsSingleSilo(algorithm) ? NextDraw() : 0);
+}
+
+Result<double> ServiceProvider::ExecuteRecorded(const FraQuery& query,
+                                                FraAlgorithm algorithm,
+                                                uint64_t draw,
+                                                double* seconds) {
+  QueryRecord record;
   // A fresh trace id for every sampled query once the Tracer is enabled
   // (Options::trace_sample_every_n); otherwise keep whatever context the
   // caller installed (0 by default, so the wire format stays
   // envelope-free).
-  ScopedTraceId trace_scope(SampledTraceId());
-  const uint64_t trace_id = CurrentTraceId();
-  QueryFlightLog flight_log;  // collects per-silo outcomes (CallSilo)
-  // Installed alongside the flight log: CallSilo charges wire bytes and
-  // RPC counts to it, and fan-out legs re-install it on pool threads
-  // (QueryCostScope) so their CPU lands in this query's cost too.
-  QueryCostTracker cost_tracker;
-  // Batch this thread's spans (and ingested silo spans) so the whole
-  // query takes the tracer's ring lock once at drain time, not once per
-  // span — batch workers would otherwise serialize on it.
-  std::optional<SpanCollector> span_batch;
-  if (trace_id != 0) span_batch.emplace();
-  Timer timer;
-  const double cpu_start = ThreadCpuMicros();
-  CacheOutcome outcome = CacheOutcome::kOff;
-  Result<double> result = [&]() -> Result<double> {
-    FRA_TRACE_SPAN("provider.execute");
-    const uint64_t draw = IsSingleSilo(algorithm) ? NextDraw() : 0;
-    return ExecuteCached(query, algorithm, draw, &outcome);
+  record.trace_id = SampledTraceId();
+  record.algorithm = FraAlgorithmToString(algorithm);
+  record.aggregate = AggregateKindToString(query.kind);
+  const Result<double> result = [&] {
+    // The wall time includes opening the scope (one thread-CPU clock
+    // read) and excludes the accounting after the answer.
+    Timer timer;
+    // Installs the record and the trace id on this thread (fan-out legs
+    // re-install both on theirs); closing it charges this thread's CPU.
+    QueryRecordScope scope(&record, record.trace_id);
+    // Batch this thread's spans (and ingested silo spans) so the whole
+    // query takes the tracer's ring lock once at drain time, not once per
+    // span — batch workers would otherwise serialize on it.
+    std::optional<SpanCollector> span_batch;
+    if (record.trace_id != 0) span_batch.emplace();
+    Result<double> answer =
+        ExecuteCached(query, algorithm, draw, &record.cache);
+    record.duration_micros = timer.ElapsedMicros();
+    if (span_batch.has_value()) {
+      std::vector<SpanRecord> spans = span_batch->Take();
+      span_batch.reset();  // uninstall before Ingest so it reaches the ring
+      Tracer::Get().Ingest(std::move(spans), std::string());
+    }
+    return answer;
   }();
-  const double seconds = timer.ElapsedSeconds();
-  cost_tracker.AddCpuMicros(ThreadCpuMicros() - cpu_start);
-  if (span_batch.has_value()) {
-    std::vector<SpanRecord> spans = span_batch->Take();
-    span_batch.reset();  // uninstall before Ingest so it reaches the ring
-    Tracer::Get().Ingest(std::move(spans), std::string());
-  }
-  FinishQueryAccounting(query, algorithm, result, outcome, trace_id, seconds,
-                        &flight_log, cost_tracker);
-  return result;
-}
+  record.failed = !result.ok();
+  record.status = result.ok() ? "ok" : result.status().ToString();
+  if (seconds != nullptr) *seconds = record.duration_micros / 1e6;
 
-void ServiceProvider::FinishQueryAccounting(
-    const FraQuery& query, FraAlgorithm algorithm, const Result<double>& result,
-    CacheOutcome outcome, uint64_t trace_id, double seconds,
-    QueryFlightLog* flight_log, const QueryCostTracker& cost_tracker) {
-  RecordQueryMetrics(algorithm, result.ok(), seconds);
-  const QueryCost cost = cost_tracker.Snapshot();
-  if (cost_ledger_ != nullptr) {
-    cost_ledger_->Record(FraAlgorithmToString(algorithm),
-                         AggregateKindToString(query.kind),
-                         CacheOutcomeName(outcome), result.ok(), cost);
-  }
-  MaybeRecordFlight(query, algorithm, result, outcome, trace_id, seconds * 1e6,
-                    flight_log, cost);
-  MaybeAuditAsync(query, algorithm, result, ServedFromCache(outcome));
+  // The finished record feeds every consumer.
+  RecordQueryMetrics(record);
+  cost_ledger_->Record(record);
+  MaybeRecordFlight(query, record);
+  if (result.ok()) MaybeAuditAsync(query, algorithm, record, *result);
+  return result;
 }
 
 Result<double> ServiceProvider::ExecuteCached(const FraQuery& query,
                                               FraAlgorithm algorithm,
                                               uint64_t draw,
-                                              CacheOutcome* outcome) {
-  *outcome = cache_ == nullptr ? CacheOutcome::kOff : CacheOutcome::kMiss;
+                                              std::string_view* cache) {
+  FRA_TRACE_SPAN("provider.execute");
+  *cache = cache_ == nullptr ? "off" : "miss";
   std::string key;
   if (cache_ != nullptr) {
     // The data epoch is part of the key, so entries cached before a
@@ -370,7 +377,7 @@ Result<double> ServiceProvider::ExecuteCached(const FraQuery& query,
                           static_cast<uint8_t>(algorithm), options_.epsilon,
                           options_.delta);
     if (const std::optional<double> hit = cache_->exact().Lookup(key)) {
-      *outcome = CacheOutcome::kHit;
+      *cache = "hit";
       return *hit;
     }
   }
@@ -379,7 +386,7 @@ Result<double> ServiceProvider::ExecuteCached(const FraQuery& query,
       IsSingleSilo(algorithm)
           ? ExecuteSampled(query, algorithm, draw, &from_tile)
           : ExecuteWithSilo(query, algorithm, -1);
-  if (from_tile) *outcome = CacheOutcome::kTile;
+  if (from_tile) *cache = "tile";
   if (cache_ != nullptr && result.ok()) {
     cache_->exact().Insert(key, *result);
   }
@@ -388,12 +395,13 @@ Result<double> ServiceProvider::ExecuteCached(const FraQuery& query,
 
 void ServiceProvider::MaybeAuditAsync(const FraQuery& query,
                                       FraAlgorithm algorithm,
-                                      const Result<double>& result,
-                                      bool from_cache) {
-  if (auditor_ == nullptr || !result.ok()) return;
+                                      const QueryRecord& record,
+                                      double estimate) {
+  if (auditor_ == nullptr) return;
   // EXACT/OPTA answers are deterministic replays of themselves — nothing
   // to audit — unless a cache layer produced them, in which case the
   // audit measures staleness against the live federation.
+  const bool from_cache = record.cache == "hit" || record.cache == "tile";
   const bool deterministic = algorithm == FraAlgorithm::kExact ||
                              algorithm == FraAlgorithm::kOpta;
   if (deterministic && !from_cache) return;
@@ -403,10 +411,9 @@ void ServiceProvider::MaybeAuditAsync(const FraQuery& query,
   // deadlock. The replay bypasses Execute so the audit traffic never
   // shows up in fra_queries_total / query latency histograms — and never
   // consults the cache, so the baseline is always live.
-  const double estimate = *result;
   const double epsilon = options_.epsilon;
-  const std::string name = std::string(FraAlgorithmToString(algorithm)) +
-                           (from_cache ? "+cache" : "");
+  const std::string name =
+      std::string(record.algorithm) + (from_cache ? "+cache" : "");
   (void)batch_pool_->Submit([this, query, estimate, epsilon, name] {
     FRA_TRACE_SPAN("provider.audit");
     const Result<double> exact =
@@ -420,56 +427,40 @@ void ServiceProvider::MaybeAuditAsync(const FraQuery& query,
 }
 
 void ServiceProvider::MaybeRecordFlight(const FraQuery& query,
-                                        FraAlgorithm algorithm,
-                                        const Result<double>& result,
-                                        CacheOutcome outcome,
-                                        uint64_t trace_id, double micros,
-                                        QueryFlightLog* log,
-                                        const QueryCost& cost) {
-  if (recorder_ == nullptr) return;
-  if (!recorder_->ShouldCapture(!result.ok(), micros)) return;
-  FlightRecorder::Record record;
-  record.trace_id = trace_id;
-  record.query = DescribeQuery(query);
-  record.algorithm = FraAlgorithmToString(algorithm);
-  record.cache = CacheOutcomeName(outcome);
-  record.cost = cost;
-  record.failed = !result.ok();
-  record.status = result.ok() ? "ok" : result.status().ToString();
-  record.duration_micros = micros;
-  record.silos = log->TakeSilos();
+                                        const QueryRecord& record) {
+  if (recorder_ == nullptr ||
+      !recorder_->ShouldCapture(record.failed, record.duration_micros)) {
+    return;
+  }
+  FlightRecorder::Record flight{record, 0, DescribeQuery(query), {}};
   // By now the trace is complete in the Tracer: the network ingests
   // response span sections before the decoders run, and the
   // provider.execute root closed before the timer was read.
-  if (trace_id != 0) {
-    record.spans = Tracer::Get().SpansForTrace(trace_id);
+  if (record.trace_id != 0) {
+    flight.spans = Tracer::Get().SpansForTrace(record.trace_id);
   }
-  recorder_->Add(std::move(record));
+  recorder_->Add(std::move(flight));
 }
 
 Result<double> ServiceProvider::ExecuteSampled(const FraQuery& query,
                                                FraAlgorithm algorithm,
                                                uint64_t draw,
                                                bool* served_from_tile) {
-  // Candidate silos: all of them, or — per the Sec. 4.2.2 remark for
-  // non-overlapping coverage — only those whose grid index reports data in
-  // cells touching the range (known provider-side from Alg. 1, no comm).
+  // Candidate silos: per the Sec. 4.2.2 remark for non-overlapping
+  // coverage, only those whose grid index reports data in cells touching
+  // the range (known provider-side from Alg. 1, no comm).
   std::vector<int> candidates;
   candidates.reserve(silo_ids_.size());
   {
     FRA_TRACE_SPAN("provider.dispatch");
-    if (options_.sample_relevant_silos_only) {
-      for (int silo_id : silo_ids_) {
-        const auto& grid = silo_grids_.at(silo_id);
-        if (grid.IntersectingCellsAggregate(query.range).count > 0) {
-          candidates.push_back(silo_id);
-        }
+    for (int silo_id : silo_ids_) {
+      const auto& grid = silo_grids_.at(silo_id);
+      if (grid.IntersectingCellsAggregate(query.range).count > 0) {
+        candidates.push_back(silo_id);
       }
-    } else {
-      candidates = silo_ids_;
     }
   }
-  if (options_.sample_relevant_silos_only && candidates.empty()) {
+  if (candidates.empty()) {
     // No silo has any object near the range: the exact answer is empty.
     AggregateSummary empty;
     double value = 0.0;
@@ -518,22 +509,9 @@ Result<double> ServiceProvider::ExecuteSampled(const FraQuery& query,
         if (options_.cache.boundary_mode == BoundaryMode::kFraction) {
           AggregateSummary estimate = plan.interior;
           for (size_t i = 0; i < cls.boundary_cells.size(); ++i) {
-            const AggregateSummary& g0_cell = plan.boundary[i];
-            if (g0_cell.count == 0) continue;
-            const uint32_t cell_id = cls.boundary_cells[i];
-            const Rect cell_rect = merged_grid_.CellRect(
-                merged_grid_.RowOf(cell_id), merged_grid_.ColOf(cell_id));
-            const double area = cell_rect.Area();
-            const double fraction =
-                area > 0.0
-                    ? std::clamp(
-                          query.range.IntersectionArea(cell_rect) / area, 0.0,
-                          1.0)
-                    : 0.0;
-            estimate.count += static_cast<uint64_t>(std::llround(
-                static_cast<double>(g0_cell.count) * fraction));
-            estimate.sum += g0_cell.sum * fraction;
-            estimate.sum_sqr += g0_cell.sum_sqr * fraction;
+            if (plan.boundary[i].count == 0) continue;
+            AddAreaFraction(merged_grid_, query.range, cls.boundary_cells[i],
+                            plan.boundary[i], &estimate);
           }
           if (served_from_tile != nullptr) *served_from_tile = true;
           double value = 0.0;
@@ -663,30 +641,18 @@ Result<AggregateSummary> ServiceProvider::RunAlgorithm(const QueryRange& range,
 
 Result<std::vector<uint8_t>> ServiceProvider::CallSilo(
     int silo_id, const std::vector<uint8_t>& request) {
-  // The uniform per-silo outcome tap of the flight recorder: every
-  // data-plane exchange of a recorded query passes through here on a
-  // thread where the query's log is installed (Execute/ExecuteBatch
-  // install it; fan-out legs re-install it via QueryFlightLogScope).
-  // Background audits run on pool threads with no log — excluded by
-  // construction.
-  QueryFlightLog* log = QueryFlightLog::Current();
-  // The cost tracker rides the same thread-local mechanism: every
-  // data-plane byte and RPC of the query is charged here, whichever
-  // thread the exchange runs on.
-  QueryCostTracker* cost = QueryCostTracker::Current();
-  if (log == nullptr && cost == nullptr) {
-    if (coalescer_ != nullptr) return coalescer_->Call(silo_id, request);
-    return network_->Call(silo_id, request);
-  }
   Timer timer;
   Result<std::vector<uint8_t>> response =
       coalescer_ != nullptr ? coalescer_->Call(silo_id, request)
                             : network_->Call(silo_id, request);
-  if (log != nullptr) {
-    log->NoteSilo(silo_id, response.status(), timer.ElapsedMicros());
-  }
-  if (cost != nullptr) {
-    cost->NoteSiloCall(request.size(), response.ok() ? response->size() : 0);
+  // Every data-plane exchange of a query passes through here on a thread
+  // where the query's record is installed (the execute path installs it,
+  // fan-out legs re-install it), whichever thread the exchange runs on.
+  // Background audits run on pool threads with no record — excluded by
+  // construction.
+  if (QueryRecordScope* query = QueryRecordScope::Current()) {
+    query->NoteSiloCall(silo_id, response.status(), timer.ElapsedMicros(),
+                        request.size(), response.ok() ? response->size() : 0);
   }
   return response;
 }
@@ -707,32 +673,27 @@ Result<AggregateSummary> ServiceProvider::RunFanOut(const QueryRange& range,
   // floating-point sums must not depend on arrival order (EXACT answers
   // are asserted bit-identical across transports and runs).
   const size_t num_silos = silo_ids_.size();
+  const QueryRecordScope* query = QueryRecordScope::Current();
   const uint64_t trace_id = CurrentTraceId();
-  QueryFlightLog* flight = QueryFlightLog::Current();
-  QueryCostTracker* cost = QueryCostTracker::Current();
   std::vector<Result<AggregateSummary>> partials(num_silos,
                                                  AggregateSummary());
-  const auto call_silo = [&](size_t i) {
-    ScopedTraceId trace_scope(trace_id);
-    QueryFlightLogScope flight_scope(flight);
-    // Pool legs re-install the query's cost tracker and attribute their
-    // thread-CPU time to it. The caller's own leg is already inside the
-    // CPU window Execute measures on its thread — a second scope there
-    // would double-count it.
-    std::optional<QueryCostScope> cost_scope;
-    if (QueryCostTracker::Current() == nullptr) cost_scope.emplace(cost);
-    partials[i] = [&]() -> Result<AggregateSummary> {
-      FRA_ASSIGN_OR_RETURN(std::vector<uint8_t> response,
-                           CallSilo(silo_ids_[i], encoded));
-      return DecodeSummaryResponse(response);
-    }();
+  const auto call_silo = [&](size_t i) -> Result<AggregateSummary> {
+    FRA_ASSIGN_OR_RETURN(std::vector<uint8_t> response,
+                         CallSilo(silo_ids_[i], encoded));
+    return DecodeSummaryResponse(response);
   };
   std::vector<std::future<void>> legs;
   legs.reserve(num_silos > 0 ? num_silos - 1 : 0);
   for (size_t i = 1; i < num_silos; ++i) {
-    legs.push_back(fanout_pool_->Submit([&call_silo, i] { call_silo(i); }));
+    // Pool legs re-install the query's record and trace id, and charge
+    // their thread-CPU to it. The caller's own leg already runs inside
+    // both on its thread.
+    legs.push_back(fanout_pool_->Submit([&, query, trace_id, i] {
+      QueryRecordScope leg(query, trace_id);
+      partials[i] = call_silo(i);
+    }));
   }
-  call_silo(0);
+  partials[0] = call_silo(0);
   for (auto& leg : legs) leg.get();
 
   AggregateSummary total;
@@ -853,19 +814,8 @@ Result<AggregateSummary> ServiceProvider::RunNonIidEst(
     if (gk_cell.count == 0) {
       // The sampled silo has no objects in this cell, so the per-cell
       // ratio is undefined. Fall back to the uniformity assumption the
-      // estimator already makes within a cell: scale the federation-wide
-      // cell aggregate by the intersected-area fraction.
-      const Rect cell_rect = merged_grid_.CellRect(
-          merged_grid_.RowOf(res_i.cell_id), merged_grid_.ColOf(res_i.cell_id));
-      const double area = cell_rect.Area();
-      const double fraction =
-          area > 0.0
-              ? std::clamp(range.IntersectionArea(cell_rect) / area, 0.0, 1.0)
-              : 0.0;
-      estimate.count += static_cast<uint64_t>(std::llround(
-          static_cast<double>(g0_cell.count) * fraction));
-      estimate.sum += g0_cell.sum * fraction;
-      estimate.sum_sqr += g0_cell.sum_sqr * fraction;
+      // estimator already makes within a cell.
+      AddAreaFraction(merged_grid_, range, res_i.cell_id, g0_cell, &estimate);
       continue;
     }
     // est_i = res_i^k * (aggregation of cell i in g_0) /
@@ -905,37 +855,12 @@ Result<std::vector<double>> ServiceProvider::ExecuteBatch(
   // submissions instead of 10k queue/future round trips.
   std::atomic<size_t> next_query{0};
   const auto worker = [this, &queries, &results, &statuses, &draws,
-                       algorithm, single_silo, latencies_seconds,
-                       &next_query] {
+                       algorithm, latencies_seconds, &next_query] {
     for (size_t i = next_query.fetch_add(1); i < queries.size();
          i = next_query.fetch_add(1)) {
-      ScopedTraceId trace_scope(SampledTraceId());
-      const uint64_t trace_id = CurrentTraceId();
-      QueryFlightLog flight_log;
-      QueryCostTracker cost_tracker;
-      // One ring-lock acquisition per query at drain time (see Execute):
-      // without this, every span of every worker contends on the tracer.
-      std::optional<SpanCollector> span_batch;
-      if (trace_id != 0) span_batch.emplace();
-      Timer timer;
-      const double cpu_start = ThreadCpuMicros();
-      CacheOutcome outcome = CacheOutcome::kOff;
-      Result<double> result = [&]() -> Result<double> {
-        FRA_TRACE_SPAN("provider.execute");
-        return ExecuteCached(queries[i], algorithm, draws[i], &outcome);
-      }();
-      const double seconds = timer.ElapsedSeconds();
-      cost_tracker.AddCpuMicros(ThreadCpuMicros() - cpu_start);
-      if (span_batch.has_value()) {
-        std::vector<SpanRecord> spans = span_batch->Take();
-        span_batch.reset();
-        Tracer::Get().Ingest(std::move(spans), std::string());
-      }
-      if (latencies_seconds != nullptr) {
-        (*latencies_seconds)[i] = seconds;
-      }
-      FinishQueryAccounting(queries[i], algorithm, result, outcome, trace_id,
-                            seconds, &flight_log, cost_tracker);
+      const Result<double> result = ExecuteRecorded(
+          queries[i], algorithm, draws[i],
+          latencies_seconds != nullptr ? &(*latencies_seconds)[i] : nullptr);
       if (result.ok()) {
         results[i] = *result;
       } else {

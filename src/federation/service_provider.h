@@ -5,6 +5,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <string_view>
 #include <vector>
 
 #include "cache/provider_cache.h"
@@ -16,6 +17,7 @@
 #include "obs/accuracy_auditor.h"
 #include "obs/cost_ledger.h"
 #include "obs/flight_recorder.h"
+#include "util/query_record.h"
 #include "util/random.h"
 #include "util/result.h"
 #include "util/thread_pool.h"
@@ -60,10 +62,6 @@ class ServiceProvider {
     /// from the batch pool, so nested use from ExecuteBatch workers
     /// cannot deadlock.
     size_t fanout_threads = 0;
-    /// Sample only silos whose grid shows data in cells intersecting the
-    /// query range (the Sec. 4.2.2 remark for non-overlapping coverage).
-    /// Costs nothing extra: the provider already holds every g_i.
-    bool sample_relevant_silos_only = true;
     /// Resample a different silo when the sampled one is unreachable or
     /// answers with an error; a query fails only when every candidate
     /// silo has failed.
@@ -166,13 +164,6 @@ class ServiceProvider {
       int hz = 19;
     };
     ProfilingOptions profiling;
-    /// Per-query cost ledger (docs/observability.md, "Query cost
-    /// ledger"): attribute each query's thread-CPU time, wire bytes,
-    /// silo RPCs and coalescer queue-wait, rolled up per {algorithm,
-    /// aggregate, cache-outcome} (fra_query_cost_*, /statusz, and every
-    /// flight-recorder entry). Costs one CLOCK_THREAD_CPUTIME_ID read
-    /// pair per thread touching the query, so it stays on by default.
-    bool cost_ledger_enabled = true;
     /// Head-sampling for query traces: with the Tracer enabled, every
     /// n-th Execute/ExecuteBatch query (provider-wide counter, first
     /// query always) starts a fresh trace; the others run untraced, so
@@ -270,7 +261,9 @@ class ServiceProvider {
   ProviderCache* cache() const { return cache_.get(); }
   /// The slow-query flight recorder (null when disabled).
   FlightRecorder* flight_recorder() const { return recorder_.get(); }
-  /// The per-query cost ledger (null when cost_ledger_enabled is false).
+  /// The per-query cost ledger (docs/observability.md, "Query cost
+  /// ledger"): every query's record folded into per-{algorithm,
+  /// aggregate, cache-outcome} rollups. Always on.
   QueryCostLedger* cost_ledger() const { return cost_ledger_.get(); }
 
   /// Last data version reported by each silo over the delta-sync path
@@ -306,25 +299,25 @@ class ServiceProvider {
     std::vector<AggregateSummary> boundary_g0;
   };
 
-  /// How the cache shaped one answer. This is the `cache` label of the
-  /// cost ledger and the flight recorder: `off` (no cache configured),
-  /// `hit` (exact-layer), `tile` (assembled from cached tiles), `miss`
-  /// (cache on, normal path taken).
-  enum class CacheOutcome { kOff, kHit, kTile, kMiss };
-  static const char* CacheOutcomeName(CacheOutcome outcome);
-  static bool ServedFromCache(CacheOutcome outcome) {
-    return outcome == CacheOutcome::kHit || outcome == CacheOutcome::kTile;
-  }
+  /// The one per-query path behind Execute and every ExecuteBatch worker:
+  /// builds the query's QueryRecord (trace id, labels, status, duration,
+  /// cost, silo outcomes), installs it for the query's duration, and
+  /// hands the finished record to every consumer — the query metrics,
+  /// the cost ledger, the flight recorder and the audit draw. `*seconds`
+  /// (optional) receives the query's wall-clock duration.
+  Result<double> ExecuteRecorded(const FraQuery& query, FraAlgorithm algorithm,
+                                 uint64_t draw, double* seconds = nullptr);
 
-  /// Cache-aware Execute body: exact-layer lookup, then the normal
-  /// execution path (which may itself serve from tiles), then insert.
-  /// `*outcome` reports which cache layer (if any) shaped the answer
-  /// (audits treat cache-served answers as estimates even for kExact).
+  /// Cache-aware body of ExecuteRecorded: exact-layer lookup, then the
+  /// normal execution path (which may itself serve from tiles), then
+  /// insert. `*cache` receives the record's cache label: `off` (no cache
+  /// configured), `hit` (exact-layer), `tile` (assembled from cached
+  /// tiles) or `miss` (cache on, normal path taken).
   Result<double> ExecuteCached(const FraQuery& query, FraAlgorithm algorithm,
-                               uint64_t draw, CacheOutcome* outcome);
+                               uint64_t draw, std::string_view* cache);
 
   /// Executes a single-silo algorithm with the silo chosen from `draw`:
-  /// candidates are the relevant silos (when enabled), and failures
+  /// candidates are the relevant silos (Sec. 4.2.2 remark), and failures
   /// rotate to the next candidate (when enabled). `*served_from_tile`
   /// (optional) reports whether the tile layer supplied the interior.
   Result<double> ExecuteSampled(const FraQuery& query, FraAlgorithm algorithm,
@@ -343,35 +336,24 @@ class ServiceProvider {
                                         FraAlgorithm algorithm, int silo_id);
 
   /// Data-plane exchange with one silo: through the coalescer when
-  /// enabled, a direct Network::Call otherwise.
+  /// enabled, a direct Network::Call otherwise. Notes the exchange into
+  /// the running query's record (QueryRecordScope::Current()), if any.
   Result<std::vector<uint8_t>> CallSilo(int silo_id,
                                         const std::vector<uint8_t>& request);
 
-  /// Audits `result` with probability audit_sample_rate: queues an EXACT
-  /// re-execution of `query` on the batch pool and scores the estimate
-  /// against it (fire-and-forget; WaitForAudits drains). Cache-served
-  /// answers are audit-eligible even for EXACT/OPTA — staleness is
-  /// exactly what the auditor should surface for them.
+  /// Audits the successful answer `estimate` of a finished query with
+  /// probability audit_sample_rate: queues an EXACT re-execution of
+  /// `query` on the batch pool and scores the estimate against it
+  /// (fire-and-forget; WaitForAudits drains). Cache-served answers are
+  /// audit-eligible even for EXACT/OPTA — staleness is exactly what the
+  /// auditor should surface for them.
   void MaybeAuditAsync(const FraQuery& query, FraAlgorithm algorithm,
-                       const Result<double>& result, bool from_cache);
+                       const QueryRecord& record, double estimate);
 
-  /// Captures `query` into the flight recorder when it was slow or
-  /// failed: query text, cache disposition, the silo outcomes collected
-  /// in `log`, the cost breakdown measured by the query's tracker, and —
-  /// when `trace_id` is nonzero — the stitched span tree pulled from the
-  /// Tracer at completion time.
-  void MaybeRecordFlight(const FraQuery& query, FraAlgorithm algorithm,
-                         const Result<double>& result, CacheOutcome outcome,
-                         uint64_t trace_id, double micros, QueryFlightLog* log,
-                         const QueryCost& cost);
-
-  /// Ledger + flight-recorder + audit tail shared by Execute and the
-  /// ExecuteBatch workers, after the query's timer has been read.
-  void FinishQueryAccounting(const FraQuery& query, FraAlgorithm algorithm,
-                             const Result<double>& result,
-                             CacheOutcome outcome, uint64_t trace_id,
-                             double seconds, QueryFlightLog* flight_log,
-                             const QueryCostTracker& cost_tracker);
+  /// Captures a finished query into the flight recorder when it was slow
+  /// or failed: its record plus the query text and — when it was traced
+  /// — the stitched span tree pulled from the Tracer at completion time.
+  void MaybeRecordFlight(const FraQuery& query, const QueryRecord& record);
 
   Network* network_;
   Options options_;
@@ -391,8 +373,9 @@ class ServiceProvider {
   std::unique_ptr<ProviderCache> cache_;
   // Slow-query flight recorder (null when disabled).
   std::unique_ptr<FlightRecorder> recorder_;
-  // Per-query cost rollups (null when cost_ledger_enabled is false).
-  std::unique_ptr<QueryCostLedger> cost_ledger_;
+  // Per-query cost rollups.
+  std::unique_ptr<QueryCostLedger> cost_ledger_ =
+      std::make_unique<QueryCostLedger>();
   // True when Create() started the process-wide profiler on behalf of
   // this provider; the destructor stops it then.
   bool started_profiler_ = false;

@@ -2,12 +2,11 @@
 
 #include <algorithm>
 #include <fstream>
-#include <thread>
 #include <utility>
 
 #include "util/logging.h"
 #include "util/metrics.h"
-#include "util/query_cost.h"
+#include "util/query_record.h"
 #include "util/serialize.h"
 #include "util/trace.h"
 
@@ -39,8 +38,6 @@ Result<std::unique_ptr<Silo>> Silo::Create(int id, ObjectSet objects,
   auto silo = std::unique_ptr<Silo>(new Silo());
   silo->id_ = id;
   silo->num_objects_ = objects.size();
-  silo->serialize_execution_ = options.serialize_execution;
-  silo->batch_workers_ = options.batch_workers;
   silo->compact_fraction_ = options.compact_fraction;
   silo->lsr_seed_ = options.lsr_seed;
   silo->rtree_options_ = options.rtree;
@@ -184,7 +181,7 @@ Status Silo::SaveSnapshot(const std::string& path) const {
   writer.WriteU64(histogram_buckets_);
   writer.WriteU8(build_lsr_ ? 1 : 0);
   writer.WriteU8(has_histogram_ ? 1 : 0);
-  writer.WriteU8(serialize_execution_ ? 1 : 0);
+  writer.WriteU8(1);  // v1's serialize-execution flag: always 1, ignored
   writer.WriteDouble(compact_fraction_);
   writer.WriteDouble(dp_->options().epsilon);
   writer.WriteDouble(dp_->options().measure_bound);
@@ -260,13 +257,12 @@ Result<std::unique_ptr<Silo>> Silo::LoadSnapshot(const std::string& path) {
   options.histogram_buckets = histogram_buckets;
   uint8_t build_lsr = 0;
   uint8_t has_histogram = 0;
-  uint8_t serialize_execution = 0;
+  uint8_t ignored = 0;  // v1's serialize-execution flag
   FRA_RETURN_NOT_OK(reader.ReadU8(&build_lsr));
   FRA_RETURN_NOT_OK(reader.ReadU8(&has_histogram));
-  FRA_RETURN_NOT_OK(reader.ReadU8(&serialize_execution));
+  FRA_RETURN_NOT_OK(reader.ReadU8(&ignored));
   options.build_lsr = build_lsr != 0;
   options.build_histogram = has_histogram != 0;
-  options.serialize_execution = serialize_execution != 0;
   FRA_RETURN_NOT_OK(reader.ReadDouble(&options.compact_fraction));
   FRA_RETURN_NOT_OK(reader.ReadDouble(&options.dp.epsilon));
   FRA_RETURN_NOT_OK(reader.ReadDouble(&options.dp.measure_bound));
@@ -380,24 +376,8 @@ Result<std::vector<uint8_t>> Silo::HandleMessageView(ConstByteSpan request) {
   }
 
   // Model a single-core silo: local work for concurrent queries queues up.
-  std::unique_lock<std::mutex> execution_lock;
-  if (serialize_execution_) {
-    execution_lock = std::unique_lock<std::mutex>(execution_mu_);
-  }
+  std::lock_guard<std::mutex> lock(execution_mu_);
   return HandleSingleLocked(type, request);
-}
-
-ThreadPool* Silo::batch_pool() {
-  std::lock_guard<std::mutex> lock(batch_pool_mu_);
-  if (!batch_pool_) {
-    size_t workers = batch_workers_;
-    if (workers == 0) {
-      const size_t hw = std::thread::hardware_concurrency();
-      workers = std::min<size_t>(4, hw == 0 ? 1 : hw);
-    }
-    batch_pool_ = std::make_unique<ThreadPool>(workers);
-  }
-  return batch_pool_.get();
 }
 
 Result<std::vector<uint8_t>> Silo::HandleBatchRequest(ConstByteSpan request) {
@@ -414,48 +394,32 @@ Result<std::vector<uint8_t>> Silo::HandleBatchRequest(ConstByteSpan request) {
   // A batch mixes sub-queries staged by different provider queries, so
   // trace context travels per entry: each may open with its own trace
   // envelope, unwrapped here so the entry's spans land under the right
-  // trace id. Batch workers run off the transport handler thread, so
-  // their spans are gathered explicitly and merged back afterwards for
-  // the outer response's single span section.
-  std::vector<std::vector<uint8_t>> responses(entries->size());
-  std::mutex spans_mu;
+  // trace id. The entries' spans are gathered in one collector and
+  // handed on afterwards for the outer response's single span section.
+  // The batch executes serially under the execution lock: coalescing
+  // saves wire round trips and framing, not silo CPU.
+  std::vector<std::vector<uint8_t>> responses;
+  responses.reserve(entries->size());
   std::vector<SpanRecord> gathered;
-  auto answer = [this, &spans_mu, &gathered](ConstByteSpan entry) {
-    const uint64_t entry_trace = StripTraceEnvelopeView(&entry);
-    ScopedTraceId trace_scope(entry_trace);
+  {
     SpanCollector collector;
-    auto respond = [&]() -> std::vector<uint8_t> {
-      auto type = PeekMessageType(entry);
-      if (!type.ok()) return EncodeErrorResponse(type.status());
-      if (*type == MessageType::kAggregateBatchRequest) {
-        return EncodeErrorResponse(
-            Status::InvalidArgument("nested batch requests are not supported"));
-      }
-      auto response = HandleSingleLocked(*type, entry);
-      if (!response.ok()) return EncodeErrorResponse(response.status());
-      return *std::move(response);
-    };
-    std::vector<uint8_t> encoded = respond();
-    std::vector<SpanRecord> records = collector.Take();
-    if (!records.empty()) {
-      std::lock_guard<std::mutex> lock(spans_mu);
-      gathered.insert(gathered.end(),
-                      std::make_move_iterator(records.begin()),
-                      std::make_move_iterator(records.end()));
-    }
-    return encoded;
-  };
-
-  if (serialize_execution_) {
-    // Single-core silo: the batch still executes serially — coalescing
-    // saves wire round trips and framing, not silo CPU.
     std::lock_guard<std::mutex> lock(execution_mu_);
-    for (size_t i = 0; i < entries->size(); ++i) {
-      responses[i] = answer((*entries)[i]);
+    for (ConstByteSpan entry : *entries) {
+      ScopedTraceId trace_scope(StripTraceEnvelopeView(&entry));
+      auto type = PeekMessageType(entry);
+      if (!type.ok()) {
+        responses.push_back(EncodeErrorResponse(type.status()));
+      } else if (*type == MessageType::kAggregateBatchRequest) {
+        responses.push_back(EncodeErrorResponse(Status::InvalidArgument(
+            "nested batch requests are not supported")));
+      } else {
+        auto response = HandleSingleLocked(*type, entry);
+        responses.push_back(response.ok()
+                                ? *std::move(response)
+                                : EncodeErrorResponse(response.status()));
+      }
     }
-  } else {
-    ParallelFor(batch_pool(), entries->size(),
-                [&](size_t i) { responses[i] = answer((*entries)[i]); });
+    gathered = collector.Take();
   }
   if (!gathered.empty()) {
     if (SpanCollector* ambient = SpanCollector::Current()) {

@@ -17,7 +17,6 @@
 #include "net/message.h"
 #include "net/network.h"
 #include "util/result.h"
-#include "util/thread_pool.h"
 
 namespace fra {
 
@@ -34,10 +33,11 @@ class Histogram;
 ///     R-tree,
 ///   * an equi-depth histogram serving the OPTA baseline.
 ///
-/// Local query execution is serialised with a mutex by default, modelling
-/// a single-core silo: this is what makes per-silo *workload* (paper
+/// Local query execution is serialised with a mutex, modelling a
+/// single-core silo: this is what makes per-silo *workload* (paper
 /// Sec. 4.3: |Q|/m queries per silo under single-silo sampling vs |Q|
-/// under EXACT) visible in wall-clock throughput.
+/// under EXACT) visible in wall-clock throughput. It also orders queries
+/// against Ingest, which mutates the grid and the ingest delta they read.
 class Silo : public SiloEndpoint {
  public:
   struct Options {
@@ -51,15 +51,6 @@ class Silo : public SiloEndpoint {
     bool build_lsr = true;
     /// Skip the OPTA histogram.
     bool build_histogram = true;
-    /// Serialise local query execution (single-core silo model).
-    bool serialize_execution = true;
-    /// Worker threads answering the entries of one kAggregateBatchRequest
-    /// in parallel (multi-core silo; only effective when
-    /// serialize_execution is false — a single-core silo executes batch
-    /// entries serially under its lock). 0 picks a small default from the
-    /// hardware concurrency. The pool is created lazily on the first
-    /// batched request, so unbatched deployments pay nothing.
-    size_t batch_workers = 0;
     /// Auto-compact when the ingest delta exceeds this fraction of the
     /// base partition (0 disables auto-compaction).
     double compact_fraction = 0.02;
@@ -173,17 +164,14 @@ class Silo : public SiloEndpoint {
   Silo() = default;
 
   /// Dispatches one decoded (non-batch) request; callers hold
-  /// execution_mu_ when serialize_execution is on.
+  /// execution_mu_.
   Result<std::vector<uint8_t>> HandleSingleLocked(MessageType type,
                                                   ConstByteSpan request);
   /// kAggregateBatchRequest: decodes the entry table and answers every
-  /// entry — serially under the execution lock for a single-core silo, in
-  /// parallel on the local batch pool otherwise. Per-entry failures are
+  /// entry serially under the execution lock. Per-entry failures are
   /// embedded as error-response entries so the batch itself still
   /// round-trips.
   Result<std::vector<uint8_t>> HandleBatchRequest(ConstByteSpan request);
-  /// The lazily created batch worker pool.
-  ThreadPool* batch_pool();
   /// This silo's fra_query_cost_silo_cpu_microseconds{silo=id} histogram.
   Histogram* HandleCpuHistogram();
 
@@ -198,7 +186,6 @@ class Silo : public SiloEndpoint {
   LsrForest lsr_;
   EquiDepthHistogram histogram_;
   bool has_histogram_ = false;
-  bool serialize_execution_ = true;
   double compact_fraction_ = 0.02;
   uint64_t lsr_seed_ = 0;
   RTree::Options rtree_options_;
@@ -216,9 +203,6 @@ class Silo : public SiloEndpoint {
   // measured on whichever thread executed it. Resolved lazily — id_ is
   // only known after Create().
   std::atomic<Histogram*> handle_cpu_hist_{nullptr};
-  size_t batch_workers_ = 0;
-  std::mutex batch_pool_mu_;  // guards lazy batch_pool_ creation
-  std::unique_ptr<ThreadPool> batch_pool_;
 };
 
 }  // namespace fra

@@ -64,22 +64,23 @@ Result<std::vector<uint8_t>> Network::Call(
   return response;
 }
 
+Network::CallCallback Network::Completion(int silo_id, CallCallback done) {
+  const auto start = std::chrono::steady_clock::now();
+  return [this, silo_id, start,
+          done = std::move(done)](Result<std::vector<uint8_t>> response) {
+    const double micros =
+        std::chrono::duration_cast<std::chrono::duration<double, std::micro>>(
+            std::chrono::steady_clock::now() - start)
+            .count();
+    if (response.ok()) IngestResponseSpans(silo_id, &*response);
+    RecordOutcome(silo_id, response.status(), micros);
+    done(std::move(response));
+  };
+}
+
 void Network::CallAsync(int silo_id, const std::vector<uint8_t>& request,
                         CallCallback done) {
-  const auto start = std::chrono::steady_clock::now();
-  CallAsyncImpl(
-      silo_id, request,
-      [this, silo_id, start,
-       done = std::move(done)](Result<std::vector<uint8_t>> response) {
-        const double micros =
-            std::chrono::duration_cast<std::chrono::duration<double,
-                                                             std::micro>>(
-                std::chrono::steady_clock::now() - start)
-                .count();
-        if (response.ok()) IngestResponseSpans(silo_id, &*response);
-        RecordOutcome(silo_id, response.status(), micros);
-        done(std::move(response));
-      });
+  CallAsyncImpl(silo_id, request, Completion(silo_id, std::move(done)));
 }
 
 void Network::CallAsyncImpl(int silo_id, const std::vector<uint8_t>& request,
@@ -89,20 +90,8 @@ void Network::CallAsyncImpl(int silo_id, const std::vector<uint8_t>& request,
 
 void Network::CallAsyncChunks(int silo_id, std::vector<BufferRef> chunks,
                               CallCallback done) {
-  const auto start = std::chrono::steady_clock::now();
-  CallAsyncChunksImpl(
-      silo_id, std::move(chunks),
-      [this, silo_id, start,
-       done = std::move(done)](Result<std::vector<uint8_t>> response) {
-        const double micros =
-            std::chrono::duration_cast<std::chrono::duration<double,
-                                                             std::micro>>(
-                std::chrono::steady_clock::now() - start)
-                .count();
-        if (response.ok()) IngestResponseSpans(silo_id, &*response);
-        RecordOutcome(silo_id, response.status(), micros);
-        done(std::move(response));
-      });
+  CallAsyncChunksImpl(silo_id, std::move(chunks),
+                      Completion(silo_id, std::move(done)));
 }
 
 void Network::CallAsyncChunksImpl(int silo_id, std::vector<BufferRef> chunks,

@@ -230,6 +230,10 @@ class Network {
   /// by every transport and both call shapes. Runs before the payload
   /// reaches any message decoder.
   void IngestResponseSpans(int silo_id, std::vector<uint8_t>* response);
+  /// Wraps an async caller's `done` with the span ingest and outcome
+  /// accounting above, timed from now — shared by CallAsync and
+  /// CallAsyncChunks.
+  CallCallback Completion(int silo_id, CallCallback done);
 
   std::atomic<SiloCallObserver*> observer_{nullptr};
   std::mutex instruments_mu_;

@@ -90,23 +90,6 @@ RequestCoalescer::SiloQueue* RequestCoalescer::QueueFor(int silo_id) {
 Result<std::vector<uint8_t>> RequestCoalescer::Call(
     int silo_id, const std::vector<uint8_t>& request) {
   FRA_TRACE_SPAN("net.coalesce.call");
-  auto promise =
-      std::make_shared<std::promise<Result<std::vector<uint8_t>>>>();
-  std::future<Result<std::vector<uint8_t>>> future = promise->get_future();
-  Stage(silo_id, request, [promise](Result<std::vector<uint8_t>> response) {
-    promise->set_value(std::move(response));
-  });
-  return future.get();
-}
-
-void RequestCoalescer::CallAsync(int silo_id,
-                                 const std::vector<uint8_t>& request,
-                                 CallCallback done) {
-  Stage(silo_id, request, std::move(done));
-}
-
-void RequestCoalescer::Stage(int silo_id, const std::vector<uint8_t>& request,
-                             CallCallback done) {
   SiloQueue* queue = QueueFor(silo_id);
   auto pending = std::make_unique<Pending>();
   // A batch mixes entries staged by different queries, so the trace
@@ -129,8 +112,9 @@ void RequestCoalescer::Stage(int silo_id, const std::vector<uint8_t>& request,
   }
   writer.AppendRaw(request.data(), request.size());
   pending->entry = BufferRef::Wrap(writer.Release());
-  pending->done = std::move(done);
-  pending->cost = QueryCostTracker::Current();
+  std::future<Result<std::vector<uint8_t>>> response =
+      pending->done.get_future();
+  pending->query = QueryRecordScope::Current();
   pending->staged_at = std::chrono::steady_clock::now();
 
   std::vector<std::unique_ptr<Pending>> to_send;
@@ -162,6 +146,7 @@ void RequestCoalescer::Stage(int silo_id, const std::vector<uint8_t>& request,
   } else if (arm) {
     ArmDeadline(silo_id, queue);
   }
+  return response.get();
 }
 
 void RequestCoalescer::ArmDeadline(int silo_id, SiloQueue* queue) {
@@ -252,12 +237,12 @@ void RequestCoalescer::SendBatch(int silo_id,
   // list: nothing is concatenated here, and the chunks reach the socket
   // through one vectored send.
   // Queue-wait attribution: each entry's staged time is charged to its
-  // query's cost tracker now, while the staging caller is still waiting
-  // on the exchange (so the tracker is alive by construction).
+  // query's record now, while the staging caller is still waiting on the
+  // exchange (so the record is alive by construction).
   const auto flushed_at = std::chrono::steady_clock::now();
   for (const std::unique_ptr<Pending>& pending : batch) {
-    if (pending->cost == nullptr) continue;
-    pending->cost->NoteQueueWait(
+    if (pending->query == nullptr) continue;
+    pending->query->NoteQueueWait(
         std::chrono::duration_cast<std::chrono::nanoseconds>(flushed_at -
                                                              pending->staged_at)
             .count() /
@@ -286,7 +271,7 @@ void RequestCoalescer::SendBatch(int silo_id,
       [shared](Result<std::vector<uint8_t>> response) {
         const auto fail_all = [&shared](const Status& status) {
           for (std::unique_ptr<Pending>& pending : *shared) {
-            pending->done(status);
+            pending->done.set_value(status);
           }
         };
         if (!response.ok()) {
@@ -309,7 +294,7 @@ void RequestCoalescer::SendBatch(int silo_id,
           return;
         }
         for (size_t i = 0; i < shared->size(); ++i) {
-          (*shared)[i]->done(std::move((*decoded)[i]));
+          (*shared)[i]->done.set_value(std::move((*decoded)[i]));
         }
         // The batch response buffer (a pooled frame payload) has been
         // fully scattered; recycle it.

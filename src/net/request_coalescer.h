@@ -3,13 +3,14 @@
 
 #include <chrono>
 #include <cstdint>
+#include <future>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
 #include <vector>
 
 #include "net/network.h"
-#include "util/query_cost.h"
+#include "util/query_record.h"
 #include "util/result.h"
 
 namespace fra {
@@ -26,9 +27,9 @@ class Histogram;
 /// costs — wire framing, send/recv syscalls, connection-pool contention —
 /// not by aggregation. The coalescer amortises that fixed cost: callers
 /// stage their encoded silo request into a per-silo buffer and wait for
-/// completion (a future in Call, a callback in CallAsync); everything
-/// staged for one silo is packed into a single kAggregateBatchRequest
-/// frame and shipped in one exchange when either trigger fires:
+/// completion; everything staged for one silo is packed into a single
+/// kAggregateBatchRequest frame and shipped in one exchange when either
+/// trigger fires:
 ///
 ///   * size    — the buffer reached max_batch_size (the staging caller
 ///               ships the batch, so several batches to one silo can be
@@ -55,14 +56,11 @@ class Histogram;
 /// fra_coalescer_staged_requests gauge.
 ///
 /// Thread safe. The wrapped network must outlive the coalescer; callers
-/// must not race destruction with in-flight Call()s/CallAsync()s. The
-/// blocking Call must not be invoked from one of the reactor's loop
-/// threads (it would deadlock waiting for that loop); CallAsync is safe
-/// anywhere.
+/// must not race destruction with in-flight Call()s. Call blocks, so it
+/// must not be invoked from one of the reactor's loop threads (it would
+/// deadlock waiting for that loop).
 class RequestCoalescer {
  public:
-  using CallCallback = Network::CallCallback;
-
   struct Options {
     /// Flush as soon as this many requests are staged for one silo.
     /// 1 still exercises the batch wire path (one entry per frame).
@@ -90,13 +88,6 @@ class RequestCoalescer {
   Result<std::vector<uint8_t>> Call(int silo_id,
                                     const std::vector<uint8_t>& request);
 
-  /// The non-blocking variant: stages `request` and returns; `done`
-  /// fires exactly once with the response entry or the batch's failure.
-  /// `done` may run on an event-loop thread — it must be quick and must
-  /// never block on another exchange through the same network.
-  void CallAsync(int silo_id, const std::vector<uint8_t>& request,
-                 CallCallback done);
-
   const Options& options() const { return options_; }
 
  private:
@@ -107,13 +98,14 @@ class RequestCoalescer {
     /// these per-entry chunks go to the transport as a scatter-gather
     /// list (Network::CallAsyncChunks).
     BufferRef entry;
-    CallCallback done;
-    /// The staging query's cost tracker (or null), captured on the
-    /// staging thread: the flush charges this entry's staged time as
-    /// queue-wait. Valid until `done` fires — the blocking Call holds
-    /// its caller (and the caller's tracker) until then, and CallAsync
-    /// callers keep their tracker alive until completion by contract.
-    QueryCostTracker* cost = nullptr;
+    /// Fulfilled exactly once with the response entry or the batch's
+    /// failure; the staging Call waits on its future.
+    std::promise<Result<std::vector<uint8_t>>> done;
+    /// The staging query's record scope (or null), captured on the
+    /// staging thread: the flush charges this entry's staged time to its
+    /// record as queue-wait. Valid until `done` is fulfilled — Call holds
+    /// its caller, and so the caller's scope, open until then.
+    QueryRecordScope* query = nullptr;
     std::chrono::steady_clock::time_point staged_at;
   };
   struct SiloQueue {
@@ -129,18 +121,15 @@ class RequestCoalescer {
   };
 
   SiloQueue* QueueFor(int silo_id);
-  /// The shared staging path behind Call and CallAsync.
-  void Stage(int silo_id, const std::vector<uint8_t>& request,
-             CallCallback done);
   /// Schedules the deadline timer on the queue's loop.
   void ArmDeadline(int silo_id, SiloQueue* queue);
   /// Loop thread: fires the deadline flush, or re-arms when a size flush
   /// already took the batch the timer was armed for.
   void OnDeadline(int silo_id, SiloQueue* queue);
-  /// Ships one batch via Network::CallAsync and scatters the response
-  /// entries (or the failure) to every staged caller. The completion is
-  /// self-contained — it captures no coalescer state — so an in-flight
-  /// batch cannot race destruction.
+  /// Ships one batch via Network::CallAsyncChunks and scatters the
+  /// response entries (or the failure) to every staged caller. The
+  /// completion is self-contained — it captures no coalescer state — so
+  /// an in-flight batch cannot race destruction.
   void SendBatch(int silo_id, std::vector<std::unique_ptr<Pending>> batch,
                  const char* reason);
 

@@ -28,6 +28,10 @@ namespace {
 // headers; anything larger is a confused or hostile client.
 constexpr size_t kMaxRequestHeadBytes = 16 * 1024;
 
+// Deadline for reading one request and writing its response: a scraper
+// stalling past it is dropped, so it cannot pin connection state.
+constexpr int kIoTimeoutMs = 5000;
+
 // Accept backoff after resource exhaustion (EMFILE/ENFILE/...), matching
 // the TCP transport's listener policy.
 constexpr int kAcceptBackoffMs = 20;
@@ -141,7 +145,6 @@ struct AdminServer::HttpConn {
 Result<std::unique_ptr<AdminServer>> AdminServer::Start(
     const Options& options) {
   std::unique_ptr<AdminServer> server(new AdminServer());
-  server->options_ = options;
   server->InstallBuiltinHandlers();
   // Every scraped process carries its build provenance as a series.
   RegisterBuildInfoMetric();
@@ -151,13 +154,8 @@ Result<std::unique_ptr<AdminServer>> AdminServer::Start(
   server->listen_fd_ = listener.fd;
   server->port_ = listener.port;
 
-  if (options.reactor != nullptr) {
-    server->reactor_ = options.reactor;
-  } else {
-    // Scrape traffic is light; one loop thread is plenty.
-    server->owned_reactor_ = std::make_unique<Reactor>(1);
-    server->reactor_ = server->owned_reactor_.get();
-  }
+  // Scrape traffic is light; one loop thread is plenty.
+  server->reactor_ = std::make_unique<Reactor>(1);
   server->accept_loop_ = server->reactor_->loop(0);
   AdminServer* raw = server.get();
   Status registered = Status::OK();
@@ -189,7 +187,7 @@ void AdminServer::Stop() {
   for (const std::shared_ptr<HttpConn>& conn : conns) {
     conn->loop->SubmitAndWait([this, conn] { CloseConn(conn); });
   }
-  if (owned_reactor_) owned_reactor_->Stop();
+  if (reactor_) reactor_->Stop();
 }
 
 void AdminServer::AddHandler(const std::string& path, Handler handler) {
@@ -205,14 +203,14 @@ void AdminServer::AddHandler(const std::string& path, QueryHandler handler) {
 }
 
 void AdminServer::InstallBuiltinHandlers() {
-  MetricsRegistry* registry = options_.registry;
-  AddHandler("/metrics", [registry] {
-    HttpResponse response = HttpResponse::Text(registry->ExportPrometheus());
+  AddHandler("/metrics", [] {
+    HttpResponse response =
+        HttpResponse::Text(MetricsRegistry::Default().ExportPrometheus());
     response.content_type = "text/plain; version=0.0.4; charset=utf-8";
     return response;
   });
-  AddHandler("/metrics.json", [registry] {
-    return HttpResponse::Json(registry->ExportJson());
+  AddHandler("/metrics.json", [] {
+    return HttpResponse::Json(MetricsRegistry::Default().ExportJson());
   });
   AddHandler("/tracez", [] {
     return HttpResponse::Json(Tracer::Get().ExportChromeTrace());
@@ -287,13 +285,11 @@ void AdminServer::AdoptConnection(int fd, EventLoop* loop) {
     ::close(fd);
     return;
   }
-  if (options_.io_timeout_ms > 0) {
-    conn->timer_id = loop->ScheduleTimerAfter(
-        std::chrono::milliseconds(options_.io_timeout_ms), [this, conn] {
-          conn->timer_id = 0;
-          CloseConn(conn);  // stalled scraper: drop it
-        });
-  }
+  conn->timer_id = loop->ScheduleTimerAfter(
+      std::chrono::milliseconds(kIoTimeoutMs), [this, conn] {
+        conn->timer_id = 0;
+        CloseConn(conn);  // stalled scraper: drop it
+      });
 }
 
 void AdminServer::OnConnEvent(const std::shared_ptr<HttpConn>& conn,

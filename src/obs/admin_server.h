@@ -11,7 +11,6 @@
 #include <unordered_set>
 #include <vector>
 
-#include "util/metrics.h"
 #include "util/result.h"
 
 namespace fra {
@@ -44,13 +43,12 @@ struct HttpResponse {
 /// a deployed federation. Serves GET only, one request per connection
 /// (Connection: close).
 ///
-/// All connections are served from an epoll event loop (the same reactor
-/// substrate as the TCP transport — pass Options::reactor to share the
-/// federation's loops, or leave it null for an internal single-thread
-/// reactor): non-blocking reads accumulate the request head, responses
-/// are buffered and flushed as the socket accepts them, and a per-
-/// connection timer drops clients stalling past io_timeout_ms — a stuck
-/// scraper holds one idle connection's state, never a thread.
+/// All connections are served from the server's own single-loop epoll
+/// reactor (the same substrate as the TCP transport): non-blocking reads
+/// accumulate the request head, responses are buffered and flushed as
+/// the socket accepts them, and a per-connection timer drops clients
+/// stalling past a 5 s I/O deadline — a stuck scraper holds one idle
+/// connection's state, never a thread.
 ///
 /// Built-in routes:
 ///   /metrics             Prometheus text exposition of the registry
@@ -60,8 +58,8 @@ struct HttpResponse {
 ///   /debug/logz(.json)   the structured-log ring, oldest first
 ///   /debug/profilez      collapsed profiler stacks; ?seconds=N[&hz=H]
 ///                        runs a fresh capture (blocking the serving
-///                        loop for the window — use short windows, or a
-///                        dedicated AdminServer reactor, in production)
+///                        loop for the window — use short windows in
+///                        production)
 ///   /debug/profilez.json the same plus counters and the alloc profile
 ///
 /// Every response carries an explicit Content-Type and Cache-Control:
@@ -84,15 +82,6 @@ class AdminServer {
   struct Options {
     /// Port to bind on 127.0.0.1; 0 picks an ephemeral port.
     uint16_t port = 0;
-    /// Registry served by /metrics and /metrics.json.
-    MetricsRegistry* registry = &MetricsRegistry::Default();
-    /// Deadline for reading one request and writing its response; a
-    /// client stalling past this is dropped. <= 0 disables the bound.
-    int io_timeout_ms = 5000;
-    /// Serve from this externally owned reactor (e.g. the TcpNetwork's)
-    /// instead of an internal single-thread one. Must outlive the
-    /// server; call Stop() before stopping a shared reactor.
-    Reactor* reactor = nullptr;
   };
 
   /// Binds, registers with the event loop, and serves until
@@ -139,14 +128,12 @@ class AdminServer {
                         const std::string& query);
   void InstallBuiltinHandlers();
 
-  Options options_;
   int listen_fd_ = -1;
   uint16_t port_ = 0;
   std::atomic<bool> stopping_{false};
   std::atomic<uint64_t> requests_served_{0};
 
-  std::unique_ptr<Reactor> owned_reactor_;
-  Reactor* reactor_ = nullptr;  // owned_reactor_.get() or Options::reactor
+  std::unique_ptr<Reactor> reactor_;
   EventLoop* accept_loop_ = nullptr;
   mutable std::mutex conns_mu_;
   std::unordered_set<std::shared_ptr<HttpConn>> conns_;

@@ -7,21 +7,22 @@
 
 namespace fra {
 
-void QueryCostLedger::Record(const std::string& algorithm,
-                             const std::string& aggregate,
-                             const std::string& cache, bool ok,
-                             const QueryCost& cost) {
-  const std::string key = algorithm + '|' + aggregate + '|' + cache;
+void QueryCostLedger::Record(const QueryRecord& record) {
+  std::string key;
+  key.reserve(record.algorithm.size() + record.aggregate.size() +
+              record.cache.size() + 2);
+  key.append(record.algorithm).append(1, '|').append(record.aggregate);
+  key.append(1, '|').append(record.cache);
   std::lock_guard<std::mutex> lock(mu_);
   Entry& entry = entries_[key];
   if (entry.rpcs == nullptr) {
-    entry.rollup.algorithm = algorithm;
-    entry.rollup.aggregate = aggregate;
-    entry.rollup.cache = cache;
+    entry.rollup.algorithm = record.algorithm;
+    entry.rollup.aggregate = record.aggregate;
+    entry.rollup.cache = record.cache;
     auto& registry = MetricsRegistry::Default();
-    const MetricLabels labels = {{"algorithm", algorithm},
-                                 {"aggregate", aggregate},
-                                 {"cache", cache}};
+    const MetricLabels labels = {{"algorithm", entry.rollup.algorithm},
+                                 {"aggregate", entry.rollup.aggregate},
+                                 {"cache", entry.rollup.cache}};
     entry.rpcs =
         &registry.GetCounter("fra_query_cost_silo_rpcs_total", labels);
     MetricLabels out_labels = labels;
@@ -37,9 +38,10 @@ void QueryCostLedger::Record(const std::string& algorithm,
     entry.queue_wait = &registry.GetHistogram(
         "fra_query_cost_queue_wait_microseconds", labels);
   }
+  const QueryCost& cost = record.cost;
   Rollup& rollup = entry.rollup;
   ++rollup.queries;
-  if (!ok) ++rollup.failures;
+  if (record.failed) ++rollup.failures;
   rollup.cpu_micros += cost.cpu_micros;
   rollup.bytes_to_silos += cost.bytes_to_silos;
   rollup.bytes_from_silos += cost.bytes_from_silos;

@@ -7,7 +7,7 @@
 #include <string>
 #include <vector>
 
-#include "util/query_cost.h"
+#include "util/query_record.h"
 
 namespace fra {
 
@@ -19,10 +19,10 @@ class Histogram;
 /// families and rendered as the /statusz "cost_ledger" section. One
 /// Record per query; instruments are resolved once per distinct key.
 ///
-/// The per-query measurement side (QueryCost, QueryCostTracker,
-/// QueryCostScope) lives in util/query_cost.h so the data plane — the
-/// coalescer charging queue-wait, CallSilo charging bytes — can note
-/// costs without depending on this library.
+/// The per-query measurement side (QueryRecord, QueryRecordScope) lives
+/// in util/query_record.h so the data plane — the coalescer charging
+/// queue-wait, CallSilo charging bytes — can note costs without
+/// depending on this library.
 class QueryCostLedger {
  public:
   struct Rollup {
@@ -42,8 +42,9 @@ class QueryCostLedger {
   QueryCostLedger(const QueryCostLedger&) = delete;
   QueryCostLedger& operator=(const QueryCostLedger&) = delete;
 
-  void Record(const std::string& algorithm, const std::string& aggregate,
-              const std::string& cache, bool ok, const QueryCost& cost);
+  /// Folds one finished query's cost into its {algorithm, aggregate,
+  /// cache} rollup.
+  void Record(const QueryRecord& record);
 
   /// All rollups, sorted by (algorithm, aggregate, cache).
   std::vector<Rollup> Snapshot() const;

@@ -3,14 +3,13 @@
 #include <algorithm>
 #include <iomanip>
 #include <sstream>
+#include <string_view>
 #include <utility>
 
 namespace fra {
 namespace {
 
-thread_local QueryFlightLog* t_current_flight_log = nullptr;
-
-std::string EscapeJson(const std::string& value) {
+std::string EscapeJson(std::string_view value) {
   std::string out;
   out.reserve(value.size());
   for (const char c : value) {
@@ -63,41 +62,6 @@ std::vector<size_t> SpanDepths(const std::vector<SpanRecord>& spans) {
 
 }  // namespace
 
-QueryFlightLog::QueryFlightLog() : previous_(t_current_flight_log) {
-  t_current_flight_log = this;
-}
-
-QueryFlightLog::~QueryFlightLog() { t_current_flight_log = previous_; }
-
-QueryFlightLog* QueryFlightLog::Current() { return t_current_flight_log; }
-
-void QueryFlightLog::NoteSilo(int silo_id, const Status& status,
-                              double micros) {
-  FlightSiloStatus entry;
-  entry.silo_id = silo_id;
-  entry.ok = status.ok();
-  entry.detail = status.ok() ? "ok" : status.ToString();
-  entry.micros = micros;
-  std::lock_guard<std::mutex> lock(mu_);
-  silos_.push_back(std::move(entry));
-}
-
-std::vector<FlightSiloStatus> QueryFlightLog::TakeSilos() {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<FlightSiloStatus> out;
-  out.swap(silos_);
-  return out;
-}
-
-QueryFlightLogScope::QueryFlightLogScope(QueryFlightLog* log)
-    : previous_(t_current_flight_log) {
-  t_current_flight_log = log;
-}
-
-QueryFlightLogScope::~QueryFlightLogScope() {
-  t_current_flight_log = previous_;
-}
-
 FlightRecorder::FlightRecorder(const Options& options)
     : capacity_(options.capacity > 0 ? options.capacity : 1),
       threshold_micros_(options.slow_threshold_micros) {}
@@ -144,7 +108,7 @@ std::string FlightRecorder::RenderText() const {
         << " queue_wait=" << record.cost.queue_wait_micros << "us\n";
     if (!record.silos.empty()) {
       out << "  silos:";
-      for (const FlightSiloStatus& silo : record.silos) {
+      for (const SiloOutcome& silo : record.silos) {
         out << " [" << silo.silo_id << " " << (silo.ok ? "ok" : "FAIL") << " "
             << silo.micros << "us" << (silo.ok ? "" : " " + silo.detail)
             << "]";
@@ -192,7 +156,7 @@ std::string FlightRecorder::RenderJson() const {
         << record.duration_micros << ",\n     \"cost\": "
         << QueryCostToJson(record.cost) << ",\n     \"silos\": [";
     bool first_silo = true;
-    for (const FlightSiloStatus& silo : record.silos) {
+    for (const SiloOutcome& silo : record.silos) {
       out << (first_silo ? "" : ", ");
       first_silo = false;
       out << "{\"silo\": " << silo.silo_id << ", \"ok\": "

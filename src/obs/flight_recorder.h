@@ -8,62 +8,10 @@
 #include <string>
 #include <vector>
 
-#include "obs/cost_ledger.h"
-#include "util/status.h"
+#include "util/query_record.h"
 #include "util/trace.h"
 
 namespace fra {
-
-/// Outcome of one provider->silo exchange inside a recorded query.
-struct FlightSiloStatus {
-  int silo_id = -1;
-  bool ok = false;
-  std::string detail;  // "ok", or the failure Status text
-  double micros = 0.0;
-};
-
-/// Per-query scratch collecting the silo exchanges of ONE query while it
-/// executes, installed as a thread-local stack the same way SpanCollector
-/// is (util/trace.h): the provider's Execute constructs one, and every
-/// CallSilo on a thread where a log is current notes its outcome into it.
-/// Fan-out legs running on pool threads re-install the caller's log with
-/// QueryFlightLogScope. NoteSilo is thread safe (legs are concurrent);
-/// install/uninstall follow RAII nesting on each thread.
-class QueryFlightLog {
- public:
-  QueryFlightLog();
-  ~QueryFlightLog();
-
-  QueryFlightLog(const QueryFlightLog&) = delete;
-  QueryFlightLog& operator=(const QueryFlightLog&) = delete;
-
-  /// The innermost log installed on this thread, or nullptr.
-  static QueryFlightLog* Current();
-
-  void NoteSilo(int silo_id, const Status& status, double micros);
-
-  std::vector<FlightSiloStatus> TakeSilos();
-
- private:
-  QueryFlightLog* previous_;
-  std::mutex mu_;
-  std::vector<FlightSiloStatus> silos_;
-};
-
-/// Re-installs an existing log as this thread's current one (fan-out legs
-/// run on pool threads where the query's log is not installed). A null
-/// log is fine — the scope then just masks any outer log.
-class QueryFlightLogScope {
- public:
-  explicit QueryFlightLogScope(QueryFlightLog* log);
-  ~QueryFlightLogScope();
-
-  QueryFlightLogScope(const QueryFlightLogScope&) = delete;
-  QueryFlightLogScope& operator=(const QueryFlightLogScope&) = delete;
-
- private:
-  QueryFlightLog* previous_;
-};
 
 /// Flight recorder: a bounded ring of the last N queries that were slow
 /// (wall clock above the threshold) or failed, each carrying enough to
@@ -84,20 +32,10 @@ class FlightRecorder {
     double slow_threshold_micros = 50'000.0;
   };
 
-  struct Record {
+  /// A captured query: its QueryRecord plus what only capture adds.
+  struct Record : QueryRecord {
     uint64_t sequence = 0;  // assigned by Add, monotonically increasing
-    uint64_t trace_id = 0;
     std::string query;      // rendered range + aggregate kind
-    std::string algorithm;
-    std::string cache;      // "hit", "tile", "miss" or "off"
-    bool failed = false;
-    std::string status;     // "ok" or the failure Status text
-    double duration_micros = 0.0;
-    /// Cost breakdown measured by the query's QueryCostTracker: CPU
-    /// microseconds, wire bytes each way, silo RPCs, coalescer
-    /// queue-wait. Zero-valued when the provider's ledger is disabled.
-    QueryCost cost;
-    std::vector<FlightSiloStatus> silos;
     std::vector<SpanRecord> spans;  // sorted by start at render time
   };
 

@@ -127,6 +127,50 @@ TEST(CoalescerTest, SizeFlushUnderBurst) {
   EXPECT_GE(FlushesFor("size"), size_before + 1);
 }
 
+// Every query's record is written from its fan-out legs and from the
+// coalescer flushes that ship its requests: each record must come out
+// whole (one ok outcome and one RPC per silo), and the time entries sat
+// staged must reach the record that staged them as queue wait.
+TEST(CoalescerTest, QueryRecordsCarryQueueWaitAndSiloOutcomes) {
+  TcpFederation federation;
+  for (int s = 0; s < 3; ++s) federation.Add(MakeSilo(s, 400, 90 + s));
+  TcpNetwork& network = federation.network;
+
+  ServiceProvider::Options options;
+  options.batch_threads = 8;
+  options.audit_sample_rate = 0.0;
+  options.flight_recorder.slow_threshold_micros = 0.0;  // capture all
+  options.coalescing.enabled = true;
+  auto provider = ServiceProvider::Create(&network, options).ValueOrDie();
+
+  const std::vector<FraQuery> queries(
+      64, {QueryRange::MakeRect({5, 5}, {40, 40}), AggregateKind::kCount});
+  auto results = provider->ExecuteBatch(queries, FraAlgorithm::kExact);
+  ASSERT_TRUE(results.ok()) << results.status().ToString();
+
+  const std::vector<FlightRecorder::Record> records =
+      provider->flight_recorder()->Snapshot();
+  ASSERT_EQ(records.size(), queries.size());
+  bool saw_queue_wait = false;
+  for (const FlightRecorder::Record& record : records) {
+    ASSERT_EQ(record.silos.size(), 3UL);
+    for (const SiloOutcome& silo : record.silos) EXPECT_TRUE(silo.ok);
+    EXPECT_EQ(record.cost.silo_rpcs, 3U);
+    if (record.cost.queue_wait_micros > 0.0) saw_queue_wait = true;
+  }
+  EXPECT_TRUE(saw_queue_wait);
+
+  const std::vector<QueryCostLedger::Rollup> rollups =
+      provider->cost_ledger()->Snapshot();
+  ASSERT_EQ(rollups.size(), 1UL);
+  EXPECT_EQ(rollups[0].algorithm, "EXACT");
+  EXPECT_EQ(rollups[0].aggregate, "COUNT");
+  EXPECT_EQ(rollups[0].cache, "off");
+  EXPECT_EQ(rollups[0].queries, 64UL);
+  EXPECT_EQ(rollups[0].failures, 0UL);
+  EXPECT_EQ(rollups[0].silo_rpcs, 192UL);
+}
+
 // Once armed, blocks every request until Release() — a hung silo that
 // still lets the federation set up (Alg. 1) beforehand.
 class HangingEndpoint : public SiloEndpoint {

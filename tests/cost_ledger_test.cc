@@ -1,7 +1,7 @@
-// Per-query cost attribution: the QueryCostTracker thread-local stack,
-// the ledger's rollup/rendering semantics, and the end-to-end path — a
-// 2-silo federation query whose recorded bytes and RPC counts must match
-// the network layer's own accounting exactly.
+// Per-query records and cost attribution: the QueryRecord thread-local
+// stack, the ledger's rollup/rendering semantics, and the end-to-end path
+// — a 2-silo federation query whose recorded bytes and RPC counts must
+// match the network layer's own accounting exactly.
 
 #include "obs/cost_ledger.h"
 
@@ -17,55 +17,75 @@
 #include "net/network.h"
 #include "obs/flight_recorder.h"
 #include "tests/test_util.h"
-#include "util/query_cost.h"
+#include "util/query_record.h"
+#include "util/trace.h"
 
 namespace fra {
 namespace {
 
 const Rect kDomain{{0, 0}, {40, 40}};
 
-TEST(QueryCostTrackerTest, InstallsAsAThreadLocalStack) {
-  EXPECT_EQ(QueryCostTracker::Current(), nullptr);
+TEST(QueryRecordTest, InstallsAsAThreadLocalStack) {
+  EXPECT_EQ(QueryRecordScope::Current(), nullptr);
+  QueryRecord outer;
   {
-    QueryCostTracker outer;
-    EXPECT_EQ(QueryCostTracker::Current(), &outer);
+    QueryRecordScope outer_scope(&outer, /*trace_id=*/0);
+    EXPECT_EQ(QueryRecordScope::Current(), &outer_scope);
     {
-      QueryCostTracker inner;
-      EXPECT_EQ(QueryCostTracker::Current(), &inner);
+      QueryRecord inner;
+      QueryRecordScope inner_scope(&inner, /*trace_id=*/0);
+      EXPECT_EQ(QueryRecordScope::Current(), &inner_scope);
     }
-    EXPECT_EQ(QueryCostTracker::Current(), &outer);
+    EXPECT_EQ(QueryRecordScope::Current(), &outer_scope);
 
-    // Another thread sees no tracker until a scope re-installs this one.
-    std::thread([&outer] {
-      EXPECT_EQ(QueryCostTracker::Current(), nullptr);
-      QueryCostScope scope(&outer);
-      EXPECT_EQ(QueryCostTracker::Current(), &outer);
-      QueryCostTracker::Current()->NoteSiloCall(100, 200);
+    // Another thread sees no record until a leg scope re-installs this
+    // one, together with the query's trace id.
+    std::thread([&outer_scope] {
+      EXPECT_EQ(QueryRecordScope::Current(), nullptr);
+      EXPECT_EQ(CurrentTraceId(), 0UL);
+      {
+        QueryRecordScope leg(&outer_scope, /*trace_id=*/77);
+        EXPECT_EQ(QueryRecordScope::Current(), &leg);
+        EXPECT_EQ(CurrentTraceId(), 77UL);
+        QueryRecordScope::Current()->NoteSiloCall(7, Status::OK(), 123.0,
+                                                  100, 200);
+      }
+      EXPECT_EQ(QueryRecordScope::Current(), nullptr);
+      EXPECT_EQ(CurrentTraceId(), 0UL);
     }).join();
 
-    outer.NoteSiloCall(10, 20);
-    outer.NoteQueueWait(5.5);
-    const QueryCost cost = outer.Snapshot();
-    EXPECT_EQ(cost.silo_rpcs, 2U);
-    EXPECT_EQ(cost.bytes_to_silos, 110UL);
-    EXPECT_EQ(cost.bytes_from_silos, 220UL);
-    EXPECT_DOUBLE_EQ(cost.queue_wait_micros, 5.5);
+    outer_scope.NoteSiloCall(8, Status::Unavailable("down"), 50.0, 10, 20);
+    outer_scope.NoteQueueWait(5.5);
   }
-  EXPECT_EQ(QueryCostTracker::Current(), nullptr);
+  EXPECT_EQ(QueryRecordScope::Current(), nullptr);
+
+  // The record is read once its root scope has closed.
+  ASSERT_EQ(outer.silos.size(), 2UL);
+  EXPECT_EQ(outer.silos[0].silo_id, 7);
+  EXPECT_TRUE(outer.silos[0].ok);
+  EXPECT_EQ(outer.silos[1].silo_id, 8);
+  EXPECT_FALSE(outer.silos[1].ok);
+  EXPECT_EQ(outer.cost.silo_rpcs, 2U);
+  EXPECT_EQ(outer.cost.bytes_to_silos, 110UL);
+  EXPECT_EQ(outer.cost.bytes_from_silos, 220UL);
+  EXPECT_DOUBLE_EQ(outer.cost.queue_wait_micros, 5.5);
 }
 
-TEST(QueryCostTrackerTest, ScopeAttributesThreadCpu) {
-  QueryCostTracker tracker;
-  std::thread([&tracker] {
-    QueryCostScope scope(&tracker);
-    // Burn a measurable amount of this thread's CPU inside the scope.
-    volatile double sink = 0.0;
-    const double start = ThreadCpuMicros();
-    while (ThreadCpuMicros() - start < 2000.0) {
-      for (int i = 0; i < 10000; ++i) sink += static_cast<double>(i);
-    }
-  }).join();
-  EXPECT_GE(tracker.Snapshot().cpu_micros, 2000.0);
+TEST(QueryRecordTest, ScopeAttributesThreadCpu) {
+  QueryRecord record;
+  {
+    QueryRecordScope root(&record, /*trace_id=*/0);
+    std::thread([&root] {
+      QueryRecordScope leg(&root, /*trace_id=*/0);
+      // Burn a measurable amount of this thread's CPU inside the scope.
+      volatile double sink = 0.0;
+      const double start = ThreadCpuMicros();
+      while (ThreadCpuMicros() - start < 2000.0) {
+        for (int i = 0; i < 10000; ++i) sink = sink + static_cast<double>(i);
+      }
+    }).join();
+  }
+  EXPECT_GE(record.cost.cpu_micros, 2000.0);
 }
 
 TEST(ThreadCpuMicrosTest, AdvancesWithWorkOnly) {
@@ -78,15 +98,23 @@ TEST(ThreadCpuMicrosTest, AdvancesWithWorkOnly) {
 
 TEST(QueryCostLedgerTest, RollsUpPerKeyAndRendersJson) {
   QueryCostLedger ledger;
-  QueryCost cost;
-  cost.cpu_micros = 100.0;
-  cost.bytes_to_silos = 40;
-  cost.bytes_from_silos = 60;
-  cost.silo_rpcs = 2;
-  cost.queue_wait_micros = 7.0;
-  ledger.Record("FRA", "COUNT", "miss", /*ok=*/true, cost);
-  ledger.Record("FRA", "COUNT", "miss", /*ok=*/false, cost);
-  ledger.Record("EXACT", "SUM", "hit", /*ok=*/true, QueryCost{});
+  QueryRecord record;
+  record.algorithm = "FRA";
+  record.aggregate = "COUNT";
+  record.cache = "miss";
+  record.cost.cpu_micros = 100.0;
+  record.cost.bytes_to_silos = 40;
+  record.cost.bytes_from_silos = 60;
+  record.cost.silo_rpcs = 2;
+  record.cost.queue_wait_micros = 7.0;
+  ledger.Record(record);
+  record.failed = true;
+  ledger.Record(record);
+  QueryRecord hit;
+  hit.algorithm = "EXACT";
+  hit.aggregate = "SUM";
+  hit.cache = "hit";
+  ledger.Record(hit);
 
   const std::vector<QueryCostLedger::Rollup> rollups = ledger.Snapshot();
   ASSERT_EQ(rollups.size(), 2UL);

@@ -1,14 +1,13 @@
-// Slow-query flight recorder: the QueryFlightLog thread-local plumbing,
-// the ring's capture/eviction semantics, the text/JSON replay rendering,
-// and the end-to-end path — a federation query captured with its silo
-// outcomes and stitched span tree, served at /debug/flightz.
+// Slow-query flight recorder: the ring's capture/eviction semantics, the
+// text/JSON replay rendering, and the end-to-end path — a federation
+// query captured with its silo outcomes and stitched span tree, served
+// at /debug/flightz.
 
 #include "obs/flight_recorder.h"
 
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "federation/admin.h"
@@ -27,37 +26,6 @@ using testing::HttpReply;
 using testing::JsonChecker;
 
 const Rect kDomain{{0, 0}, {40, 40}};
-
-TEST(QueryFlightLogTest, InstallsAsAThreadLocalStack) {
-  EXPECT_EQ(QueryFlightLog::Current(), nullptr);
-  {
-    QueryFlightLog outer;
-    EXPECT_EQ(QueryFlightLog::Current(), &outer);
-    {
-      QueryFlightLog inner;
-      EXPECT_EQ(QueryFlightLog::Current(), &inner);
-    }
-    EXPECT_EQ(QueryFlightLog::Current(), &outer);
-
-    // Another thread sees no log until a scope re-installs this one.
-    std::thread([&outer] {
-      EXPECT_EQ(QueryFlightLog::Current(), nullptr);
-      QueryFlightLogScope scope(&outer);
-      EXPECT_EQ(QueryFlightLog::Current(), &outer);
-      QueryFlightLog::Current()->NoteSilo(7, Status::OK(), 123.0);
-    }).join();
-
-    outer.NoteSilo(8, Status::Unavailable("down"), 50.0);
-    const std::vector<FlightSiloStatus> silos = outer.TakeSilos();
-    ASSERT_EQ(silos.size(), 2UL);
-    EXPECT_EQ(silos[0].silo_id, 7);
-    EXPECT_TRUE(silos[0].ok);
-    EXPECT_EQ(silos[1].silo_id, 8);
-    EXPECT_FALSE(silos[1].ok);
-    EXPECT_TRUE(outer.TakeSilos().empty());  // drained
-  }
-  EXPECT_EQ(QueryFlightLog::Current(), nullptr);
-}
 
 TEST(FlightRecorderTest, CapturesSlowAndFailedQueriesOnly) {
   FlightRecorder::Options options;
@@ -176,7 +144,7 @@ TEST(FlightRecorderTest, FederationQueryIsCapturedWithSilosAndSpans) {
     EXPECT_FALSE(record.failed);
     // EXACT fans out to every silo; each leg noted its outcome.
     ASSERT_EQ(record.silos.size(), 3UL);
-    for (const FlightSiloStatus& silo : record.silos) {
+    for (const SiloOutcome& silo : record.silos) {
       EXPECT_TRUE(silo.ok);
       EXPECT_GE(silo.micros, 0.0);
     }
