@@ -61,19 +61,16 @@ double QuantileOf(std::vector<double> sorted_ascending, double q) {
 // --- Answer-cache sweep (docs/caching.md) ----------------------------------
 //
 // A Zipf-popular pool of overlapping ranges replayed against an in-process
-// federation at three cache configurations: off, exact layer only, and
-// exact + tile layer (kFraction boundaries, so warm queries need zero silo
-// exchanges). The metric that matters is silo RPCs *per query* — the
-// provider-side work the cache absorbs — plus an auditor-verified check
-// that tile-assembled answers still respect the (eps, delta) regime.
+// federation with the answer cache off and on. The metric that matters is
+// silo RPCs *per query* — the provider-side work the cache absorbs — plus
+// an auditor-verified check that cache-served answers still respect the
+// (eps, delta) regime.
 
 struct CacheRun {
   double qps = 0.0;
   double rpcs_per_query = 0.0;
   uint64_t messages = 0;
   uint64_t exact_hits = 0;
-  uint64_t tile_hits = 0;
-  uint64_t tile_misses = 0;
   // Verification federation (audits on) — accuracy of the served answers.
   uint64_t audited = 0;
   uint64_t violations = 0;
@@ -132,11 +129,8 @@ CacheRun RunCacheSweep(
     run.messages = (provider.comm() - before).messages;
     run.rpcs_per_query = static_cast<double>(run.messages) /
                          static_cast<double>(queries.size());
-    if (const fra::ProviderCache* pc = provider.cache()) {
-      run.exact_hits = provider.cache()->exact().counters().hits;
-      run.tile_hits = provider.cache()->tiles().counters().hits;
-      run.tile_misses = provider.cache()->tiles().counters().misses;
-      (void)pc;
+    if (fra::ProviderCache* cache = provider.cache()) {
+      run.exact_hits = cache->exact().counters().hits;
     }
   }
   {
@@ -508,7 +502,7 @@ int main() {
 
   fra::bench::WriteJsonFile("BENCH_throughput.json", json.str());
 
-  // --- Answer cache: Zipf-overlapping ranges, three configurations ---------
+  // --- Answer cache: Zipf-overlapping ranges, cache off and on -------------
   const fra::Rect cache_domain{{0, 0}, {80, 80}};
   const size_t cache_silos = 4;
   const size_t cache_objects = smoke ? 8000 : 60000;
@@ -516,8 +510,8 @@ int main() {
   const size_t cache_queries = smoke ? 512 : 8192;
 
   // The range pool: rects of mixed size; every other one snapped to the
-  // 2.0 cell grid so a share of the workload is boundary-free (the tile
-  // layer's best case), the rest exercises boundary handling.
+  // 2.0 cell grid so a share of the workload is boundary-free, the rest
+  // exercises boundary handling.
   fra::Rng cache_rng(20220416);
   std::vector<fra::QueryRange> pool;
   pool.reserve(distinct_ranges);
@@ -559,20 +553,13 @@ int main() {
   cache_off.enabled = false;
   CacheOptions cache_exact;
   cache_exact.enabled = true;
-  cache_exact.tile_layer = false;
-  CacheOptions cache_tile;
-  cache_tile.enabled = true;
-  cache_tile.tile_layer = true;
-  cache_tile.min_tile_coverage = 0.0;  // serve and warm from the first touch
-  cache_tile.boundary_mode = CacheOptions::BoundaryMode::kFraction;
 
   struct NamedConfig {
     const char* name;
     const CacheOptions* options;
   };
   const NamedConfig configs[] = {{"off", &cache_off},
-                                 {"exact_layer", &cache_exact},
-                                 {"tile_layer", &cache_tile}};
+                                 {"exact_layer", &cache_exact}};
 
   std::printf("\n=== Answer cache (Zipf ranges: %zu distinct, %zu queries, "
               "m=%zu, NonIID-est) ===\n",
@@ -596,14 +583,14 @@ int main() {
   cache_json.Key("configs").BeginArray();
 
   double off_rpcs = 0.0;
-  double tile_rpcs = 0.0;
+  double exact_rpcs = 0.0;
   for (const NamedConfig& config : configs) {
     const CacheRun run = RunCacheSweep(cache_objects, cache_silos,
                                        cache_domain, *config.options,
                                        cache_workload);
     if (std::strcmp(config.name, "off") == 0) off_rpcs = run.rpcs_per_query;
-    if (std::strcmp(config.name, "tile_layer") == 0) {
-      tile_rpcs = run.rpcs_per_query;
+    if (std::strcmp(config.name, "exact_layer") == 0) {
+      exact_rpcs = run.rpcs_per_query;
     }
     std::printf("%-12s %12.1f %16.4f %12llu %10llu %12.4f %12.4f\n",
                 config.name, run.qps, run.rpcs_per_query,
@@ -616,9 +603,6 @@ int main() {
     cache_json.Key("silo_rpcs_per_query").Number(run.rpcs_per_query);
     cache_json.Key("silo_messages").Int(static_cast<long long>(run.messages));
     cache_json.Key("exact_hits").Int(static_cast<long long>(run.exact_hits));
-    cache_json.Key("tile_hits").Int(static_cast<long long>(run.tile_hits));
-    cache_json.Key("tile_misses").Int(
-        static_cast<long long>(run.tile_misses));
     cache_json.Key("audited").Int(static_cast<long long>(run.audited));
     cache_json.Key("violations").Int(static_cast<long long>(run.violations));
     cache_json.Key("mean_relative_error").Number(run.mean_relative_error);
@@ -627,17 +611,17 @@ int main() {
   }
   cache_json.EndArray();
   const double rpc_reduction =
-      tile_rpcs > 0.0 ? off_rpcs / tile_rpcs
-                      : std::numeric_limits<double>::infinity();
-  cache_json.Key("rpc_reduction_tile_vs_off").Number(
-      tile_rpcs > 0.0 ? rpc_reduction : -1.0);
+      exact_rpcs > 0.0 ? off_rpcs / exact_rpcs
+                       : std::numeric_limits<double>::infinity();
+  cache_json.Key("rpc_reduction_exact_vs_off").Number(
+      exact_rpcs > 0.0 ? rpc_reduction : -1.0);
   cache_json.EndObject();
-  if (tile_rpcs > 0.0) {
-    std::printf("tile-layer silo-RPC reduction vs off: %.1fx "
-                "(acceptance bar: >=3x)\n", rpc_reduction);
+  if (exact_rpcs > 0.0) {
+    std::printf("exact-layer silo-RPC reduction vs off: %.1fx\n",
+                rpc_reduction);
   } else {
-    std::printf("tile-layer silo-RPC reduction vs off: inf "
-                "(zero silo RPCs; acceptance bar: >=3x)\n");
+    std::printf("exact-layer silo-RPC reduction vs off: inf "
+                "(zero silo RPCs)\n");
   }
 
   fra::bench::WriteJsonFile("BENCH_cache.json", cache_json.str());

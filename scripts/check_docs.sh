@@ -17,9 +17,11 @@
 #   3. No undocumented metrics: every "fra_..." string literal the code
 #      registers must be mentioned in at least one checked document —
 #      new metric families must land with their docs.
-#   4. No phantom option fields: every `Options::<field>` the docs name
-#      must be declared as a field (`<type> <field> =`, `;` or `{`) in a
-#      src/ header — a doc still naming a removed knob fails here.
+#   4. No phantom option fields: every `Options::<field>` the docs name,
+#      and every field of an `options.<…>.<field>` chain in their code
+#      samples (`options.cache.exact_capacity = 4096;`), must be declared
+#      as a field (`<type> <field> =`, `;` or `{`) in a src/ header — a
+#      doc still naming a removed knob fails here.
 #
 # Plus a pinned check that the fra_bufpool_* families stay documented in
 # docs/observability.md.
@@ -107,9 +109,11 @@ while IFS= read -r field; do
   [[ -z "${field}" ]] && continue
   grep -rqE "[A-Za-z0-9_>*&]+[[:space:]]+${field}[[:space:]]*(=|;|\{)" \
       src --include='*.h' \
-    || fail "docs name 'Options::${field}' but no src/ header declares it"
-done < <(grep -hoE 'Options::[a-z_][a-z0-9_]*' "${DOCS[@]}" \
-           | sed 's/^Options:://' | sort -u)
+    || fail "docs name options field '${field}' but no src/ header declares it"
+done < <({ grep -hoE 'Options::[a-z_][a-z0-9_]*' "${DOCS[@]}" \
+             | sed 's/^Options:://'
+           grep -hoE '\boptions(\.[a-z_][a-z0-9_]*)+' "${DOCS[@]}" \
+             | sed 's/^options\.//' | tr '.' '\n'; } | sort -u)
 
 echo "== docs-check: buffer-pool metric families documented =="
 # The fra_bufpool_* families are the observable surface of the zero-copy

@@ -44,6 +44,14 @@ void AnswerCache::Insert(const std::string& key, double value) {
   }
 }
 
+size_t AnswerCache::Clear() {
+  std::lock_guard<std::mutex> lock(mu_);
+  const size_t dropped = entries_.size();
+  entries_.clear();
+  lru_.clear();
+  return dropped;
+}
+
 size_t AnswerCache::size() const {
   std::lock_guard<std::mutex> lock(mu_);
   return entries_.size();

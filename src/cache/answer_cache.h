@@ -16,13 +16,12 @@ namespace fra {
 /// Exact-answer layer of the provider-side cache (docs/caching.md): an
 /// LRU map from a canonical query key to the finalised double answer.
 ///
-/// The key (built by ProviderCache::MakeKey) encodes the normalized
-/// range, the aggregate function, the algorithm, (epsilon, delta) and
-/// the provider's data epoch, so a hit returns the answer the provider
-/// would have produced — bit-identical, EXACT included — and entries
-/// written before a dynamic update become unreachable the moment the
-/// epoch bumps (they age out through normal LRU pressure rather than an
-/// explicit flush).
+/// The key (built by ProviderCache::MakeKey) encodes the range, the
+/// aggregate function, the algorithm, (epsilon, delta) and the
+/// provider's data epoch, so a hit returns the answer the provider would
+/// have produced — bit-identical, EXACT included — and entries written
+/// before a dynamic update become unreachable the moment the epoch bumps
+/// (ProviderCache::OnDataChanged then drops them with Clear).
 ///
 /// Thread safe; hits and misses feed
 /// `fra_cache_{hits,misses,evictions}_total{layer="exact"}`.
@@ -42,7 +41,10 @@ class AnswerCache {
   /// Inserts (or refreshes) one answer, evicting the LRU tail if needed.
   void Insert(const std::string& key, double value);
 
-  /// Entries currently held — stale-epoch entries included until evicted.
+  /// Drops every entry; returns how many were dropped.
+  size_t Clear();
+
+  /// Entries currently held.
   size_t size() const;
 
   struct Counters {

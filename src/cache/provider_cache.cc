@@ -1,15 +1,11 @@
 #include "cache/provider_cache.h"
 
-#include <cmath>
-
 #include "util/serialize.h"
 
 namespace fra {
 
-ProviderCache::ProviderCache(size_t rows, size_t cols, const Options& options)
-    : options_(options),
-      exact_(options.exact),
-      tiles_(rows, cols, options.tiles),
+ProviderCache::ProviderCache(const AnswerCache::Options& exact)
+    : exact_(exact),
       exact_invalidations_total_(&MetricsRegistry::Default().GetCounter(
           "fra_cache_invalidations_total", {{"layer", "exact"}})),
       epoch_gauge_(
@@ -17,32 +13,27 @@ ProviderCache::ProviderCache(size_t rows, size_t cols, const Options& options)
   epoch_gauge_->Set(0.0);
 }
 
-void ProviderCache::OnDataChanged(const std::vector<size_t>& changed_cells) {
-  exact_invalidations_total_->Increment(exact_.size());
+void ProviderCache::OnDataChanged() {
   const uint64_t next = epoch_.fetch_add(1, std::memory_order_acq_rel) + 1;
   epoch_gauge_->Set(static_cast<double>(next));
-  tiles_.Invalidate(changed_cells);
+  exact_invalidations_total_->Increment(exact_.Clear());
 }
 
 std::string ProviderCache::MakeKey(const QueryRange& range, uint8_t kind,
                                    uint8_t algorithm, double epsilon,
                                    double delta) const {
-  const auto quantize = [this](double v) {
-    if (options_.range_quantum <= 0.0) return v;
-    return std::round(v / options_.range_quantum) * options_.range_quantum;
-  };
   BinaryWriter writer;
   if (range.is_circle()) {
     writer.WriteU8(1);
-    writer.WriteDouble(quantize(range.circle().center.x));
-    writer.WriteDouble(quantize(range.circle().center.y));
-    writer.WriteDouble(quantize(range.circle().radius));
+    writer.WriteDouble(range.circle().center.x);
+    writer.WriteDouble(range.circle().center.y);
+    writer.WriteDouble(range.circle().radius);
   } else {
     writer.WriteU8(2);
-    writer.WriteDouble(quantize(range.rect().min.x));
-    writer.WriteDouble(quantize(range.rect().min.y));
-    writer.WriteDouble(quantize(range.rect().max.x));
-    writer.WriteDouble(quantize(range.rect().max.y));
+    writer.WriteDouble(range.rect().min.x);
+    writer.WriteDouble(range.rect().min.y);
+    writer.WriteDouble(range.rect().max.x);
+    writer.WriteDouble(range.rect().max.y);
   }
   writer.WriteU8(kind);
   writer.WriteU8(algorithm);

@@ -4,66 +4,57 @@
 #include <atomic>
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "cache/answer_cache.h"
-#include "cache/tile_cache.h"
 #include "geo/range.h"
 #include "util/metrics.h"
 
 namespace fra {
 
-/// The provider-side semantic answer cache: the exact-answer LRU and the
-/// tile layer behind one facade, plus the data epoch that ties both to
-/// the dynamic-update path (docs/caching.md).
+/// Counters of the answer cache's former tile layer, kept so that
+/// perfbench (perfbench/perfbench.cc), their only reader, still builds.
+/// Every counter reads zero.
+struct TileCache {
+  struct Counters {
+    uint64_t hits = 0;
+    uint64_t misses = 0;
+    uint64_t evictions = 0;
+    uint64_t invalidations = 0;
+  };
+  Counters counters() const { return {}; }
+};
+
+/// The provider-side answer cache (docs/caching.md): the exact-answer LRU
+/// plus the data epoch that ties it to the dynamic-update path.
 ///
 /// The epoch starts at 0 and bumps once per SyncGrids round that applied
-/// any silo delta. It is part of every exact-layer key, so answers cached
-/// before an update become unreachable the moment the provider learns of
-/// it; the tile layer is told which cells changed and invalidates only
-/// the tiles covering them. `fra_provider_data_epoch` exports the current
-/// value.
+/// any silo delta. It is part of every key, so answers cached before an
+/// update can never be returned after it; the bump also clears the LRU,
+/// so those entries stop holding slots. `fra_provider_data_epoch`
+/// exports the current value.
 class ProviderCache {
  public:
-  struct Options {
-    AnswerCache::Options exact;
-    TileCache::Options tiles;
-    /// Disabling the tile layer leaves the exact-answer LRU only.
-    bool tile_layer = true;
-    /// Coordinates are snapped to multiples of this before keying, so
-    /// near-identical ranges share an exact-layer entry; 0 keys on the
-    /// exact coordinate bits (no two distinct ranges ever collide).
-    double range_quantum = 0.0;
-  };
+  explicit ProviderCache(const AnswerCache::Options& exact);
 
-  /// `rows` x `cols` is the federation's grid geometry (the tile layer
-  /// mirrors it).
-  ProviderCache(size_t rows, size_t cols, const Options& options);
-
-  /// Monotonic data epoch; part of every exact-layer key.
+  /// Monotonic data epoch; part of every key.
   uint64_t epoch() const { return epoch_.load(std::memory_order_acquire); }
 
   /// Dynamic-update notification from SyncGrids: bumps the epoch and
-  /// invalidates the tiles covering `changed_cells`. The exact layer's
-  /// pre-update entries are counted invalidated here (they can no longer
-  /// be addressed) but evict lazily through LRU pressure.
-  void OnDataChanged(const std::vector<size_t>& changed_cells);
+  /// clears the exact layer, counting each dropped entry once in
+  /// `fra_cache_invalidations_total{layer="exact"}`.
+  void OnDataChanged();
 
-  /// Canonical exact-layer key: the (quantized) range, the aggregate
+  /// Canonical key: the range's exact coordinate bits, the aggregate
   /// function, the algorithm, (epsilon, delta) and the current epoch.
   std::string MakeKey(const QueryRange& range, uint8_t kind,
                       uint8_t algorithm, double epsilon, double delta) const;
 
   AnswerCache& exact() { return exact_; }
-  TileCache& tiles() { return tiles_; }
-  bool tile_layer_enabled() const { return options_.tile_layer; }
-
-  const Options& options() const { return options_; }
+  /// The perfbench seam above; always zero.
+  TileCache tiles() const { return {}; }
 
  private:
-  const Options options_;
   AnswerCache exact_;
-  TileCache tiles_;
   std::atomic<uint64_t> epoch_{0};
   Counter* exact_invalidations_total_;
   Gauge* epoch_gauge_;

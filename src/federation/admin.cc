@@ -194,16 +194,10 @@ HttpResponse Statusz(ServiceProvider* provider) {
   out << "  \"cache\": ";
   if (ProviderCache* cache = provider->cache()) {
     const AnswerCache::Counters exact = cache->exact().counters();
-    const TileCache::Counters tiles = cache->tiles().counters();
     out << "{\"epoch\": " << cache->epoch()
         << ", \"exact\": {\"entries\": " << cache->exact().size()
         << ", \"hits\": " << exact.hits << ", \"misses\": " << exact.misses
         << ", \"evictions\": " << exact.evictions << "}"
-        << ", \"tiles\": {\"cached\": " << cache->tiles().cached_tiles()
-        << ", \"valid\": " << cache->tiles().valid_tiles()
-        << ", \"hits\": " << tiles.hits << ", \"misses\": " << tiles.misses
-        << ", \"evictions\": " << tiles.evictions
-        << ", \"invalidations\": " << tiles.invalidations << "}"
         << "},\n";
   } else {
     out << "null,\n";

@@ -34,9 +34,4 @@ bool IsSingleSilo(FraAlgorithm algorithm) {
   return false;
 }
 
-bool UsesLsr(FraAlgorithm algorithm) {
-  return algorithm == FraAlgorithm::kIidEstLsr ||
-         algorithm == FraAlgorithm::kNonIidEstLsr;
-}
-
 }  // namespace fra

@@ -33,9 +33,6 @@ const char* FraAlgorithmToString(FraAlgorithm algorithm);
 /// paper's single-silo sampling family).
 bool IsSingleSilo(FraAlgorithm algorithm);
 
-/// True for algorithms that answer local queries with the LSR-Forest.
-bool UsesLsr(FraAlgorithm algorithm);
-
 }  // namespace fra
 
 #endif  // FRA_FEDERATION_QUERY_H_

@@ -102,8 +102,8 @@ std::string DescribeQuery(const FraQuery& query) {
 
 // The within-cell uniformity assumption: adds the federation-wide cell
 // aggregate `g0_cell`, scaled by the fraction of the cell's area that
-// `range` covers, to `estimate`. Serves the tile layer's kFraction
-// boundary cells and NonIID-est's cells where the sampled silo is empty.
+// `range` covers, to `estimate`. Serves NonIID-est's boundary cells where
+// the sampled silo is empty.
 void AddAreaFraction(const GridIndex& grid, const QueryRange& range,
                      uint32_t cell_id, const AggregateSummary& g0_cell,
                      AggregateSummary* estimate) {
@@ -141,16 +141,6 @@ Result<std::unique_ptr<ServiceProvider>> ServiceProvider::Create(
     if (network->reactor() == nullptr) {
       return Status::InvalidArgument(
           "coalescing needs a reactor transport (TcpNetwork)");
-    }
-  }
-  if (options.cache.enabled) {
-    if (options.cache.tile_layer && options.cache.tile_size == 0) {
-      return Status::InvalidArgument("cache.tile_size must be >= 1");
-    }
-    if (options.cache.min_tile_coverage < 0.0 ||
-        options.cache.min_tile_coverage > 1.0) {
-      return Status::InvalidArgument(
-          "cache.min_tile_coverage must be in [0, 1]");
     }
   }
 
@@ -243,19 +233,10 @@ Result<std::unique_ptr<ServiceProvider>> ServiceProvider::Create(
   for (const auto& [id, grid] : provider->silo_grids_) parts.push_back(&grid);
   FRA_ASSIGN_OR_RETURN(provider->merged_grid_, GridIndex::Merge(parts));
 
-  // The answer cache needs the merged grid's geometry, so it comes up
-  // after Alg. 1.
   if (options.cache.enabled) {
-    ProviderCache::Options cache_options;
-    cache_options.exact.capacity = options.cache.exact_capacity;
-    cache_options.range_quantum = options.cache.range_quantum;
-    cache_options.tile_layer = options.cache.tile_layer;
-    cache_options.tiles.tile_size = options.cache.tile_size;
-    cache_options.tiles.max_tiles = options.cache.max_tiles;
-    cache_options.tiles.min_coverage = options.cache.min_tile_coverage;
-    provider->cache_ = std::make_unique<ProviderCache>(
-        provider->merged_grid_.rows(), provider->merged_grid_.cols(),
-        cache_options);
+    AnswerCache::Options exact;
+    exact.capacity = options.cache.exact_capacity;
+    provider->cache_ = std::make_unique<ProviderCache>(exact);
   }
 
   // Deployment-shape gauges for the most recently created provider.
@@ -371,8 +352,7 @@ Result<double> ServiceProvider::ExecuteCached(const FraQuery& query,
   std::string key;
   if (cache_ != nullptr) {
     // The data epoch is part of the key, so entries cached before a
-    // SyncGrids that observed changes can never be returned afterwards —
-    // they just age out of the LRU.
+    // SyncGrids that observed changes can never be returned afterwards.
     key = cache_->MakeKey(query.range, static_cast<uint8_t>(query.kind),
                           static_cast<uint8_t>(algorithm), options_.epsilon,
                           options_.delta);
@@ -381,12 +361,9 @@ Result<double> ServiceProvider::ExecuteCached(const FraQuery& query,
       return *hit;
     }
   }
-  bool from_tile = false;
-  Result<double> result =
-      IsSingleSilo(algorithm)
-          ? ExecuteSampled(query, algorithm, draw, &from_tile)
-          : ExecuteWithSilo(query, algorithm, -1);
-  if (from_tile) *cache = "tile";
+  Result<double> result = IsSingleSilo(algorithm)
+                              ? ExecuteSampled(query, algorithm, draw)
+                              : ExecuteWithSilo(query, algorithm, -1);
   if (cache_ != nullptr && result.ok()) {
     cache_->exact().Insert(key, *result);
   }
@@ -399,9 +376,9 @@ void ServiceProvider::MaybeAuditAsync(const FraQuery& query,
                                       double estimate) {
   if (auditor_ == nullptr) return;
   // EXACT/OPTA answers are deterministic replays of themselves — nothing
-  // to audit — unless a cache layer produced them, in which case the
-  // audit measures staleness against the live federation.
-  const bool from_cache = record.cache == "hit" || record.cache == "tile";
+  // to audit — unless the cache replayed them, in which case the audit
+  // measures staleness against the live federation.
+  const bool from_cache = record.cache == "hit";
   const bool deterministic = algorithm == FraAlgorithm::kExact ||
                              algorithm == FraAlgorithm::kOpta;
   if (deterministic && !from_cache) return;
@@ -444,8 +421,7 @@ void ServiceProvider::MaybeRecordFlight(const FraQuery& query,
 
 Result<double> ServiceProvider::ExecuteSampled(const FraQuery& query,
                                                FraAlgorithm algorithm,
-                                               uint64_t draw,
-                                               bool* served_from_tile) {
+                                               uint64_t draw) {
   // Candidate silos: per the Sec. 4.2.2 remark for non-overlapping
   // coverage, only those whose grid index reports data in cells touching
   // the range (known provider-side from Alg. 1, no comm).
@@ -472,58 +448,6 @@ Result<double> ServiceProvider::ExecuteSampled(const FraQuery& query,
     return Status::InvalidArgument(
         std::string(AggregateKindToString(query.kind)) +
         " requires the EXACT algorithm");
-  }
-
-  // Tile layer: when the cache already holds (valid) tiles covering the
-  // range's contained-cell block, the interior needs no silo at all —
-  // only the boundary cells still want refinement. In kFraction mode
-  // even those are answered from the cached g_0 aggregates (zero silo
-  // exchanges); in kSiloRefine mode the query falls through to the
-  // normal sampling below but runs the NonIID boundary path with the
-  // cached interior. Cold tiles are filled from merged_grid_ as a side
-  // effect, warming the cache for the next overlapping query.
-  TileAssembly assembly;
-  bool use_tiles = false;
-  if (cache_ != nullptr && cache_->tile_layer_enabled()) {
-    FRA_TRACE_SPAN("provider.tile_assemble");
-    const GridIndex::RangeCellClassification cls =
-        merged_grid_.ClassifyRangeCells(query.range);
-    if (cls.block_ok) {
-      TileCache::Plan plan = cache_->tiles().Assemble(
-          cls.contained > 0, cls.row0, cls.col0, cls.row1, cls.col1,
-          cls.boundary_cells,
-          [this](size_t cell_id) { return merged_grid_.cell(cell_id); });
-      if (plan.servable) {
-        // The prefix-summed interior carries no extrema; make that
-        // explicit so Finalize cannot report stale min/max.
-        plan.interior.min = AggregateSummary().min;
-        plan.interior.max = AggregateSummary().max;
-        if (cls.boundary_cells.empty()) {
-          // Cell-aligned range: the tiles ARE the answer.
-          if (served_from_tile != nullptr) *served_from_tile = true;
-          double value = 0.0;
-          FRA_RETURN_NOT_OK(plan.interior.Finalize(query.kind, &value));
-          return value;
-        }
-        using BoundaryMode = Options::CacheOptions::BoundaryMode;
-        if (options_.cache.boundary_mode == BoundaryMode::kFraction) {
-          AggregateSummary estimate = plan.interior;
-          for (size_t i = 0; i < cls.boundary_cells.size(); ++i) {
-            if (plan.boundary[i].count == 0) continue;
-            AddAreaFraction(merged_grid_, query.range, cls.boundary_cells[i],
-                            plan.boundary[i], &estimate);
-          }
-          if (served_from_tile != nullptr) *served_from_tile = true;
-          double value = 0.0;
-          FRA_RETURN_NOT_OK(estimate.Finalize(query.kind, &value));
-          return value;
-        }
-        assembly.interior = plan.interior;
-        assembly.boundary_cells = cls.boundary_cells;
-        assembly.boundary_g0 = std::move(plan.boundary);
-        use_tiles = true;
-      }
-    }
   }
 
   // Visit candidates in a rotated order starting from the random draw;
@@ -580,9 +504,7 @@ Result<double> ServiceProvider::ExecuteSampled(const FraQuery& query,
   for (size_t attempt = 0; attempt < attempts && collected < want;
        ++attempt) {
     Result<AggregateSummary> partial =
-        use_tiles ? RunNonIidEst(query.range, order[attempt],
-                                 UsesLsr(algorithm), &assembly)
-                  : RunAlgorithm(query.range, algorithm, order[attempt]);
+        RunAlgorithm(query.range, algorithm, order[attempt]);
     if (partial.ok()) {
       accumulated.count += partial->count;
       accumulated.sum += partial->sum;
@@ -597,7 +519,6 @@ Result<double> ServiceProvider::ExecuteSampled(const FraQuery& query,
     return Status::Unavailable("all candidate silos failed; last error: " +
                                last_failure.ToString());
   }
-  if (use_tiles && served_from_tile != nullptr) *served_from_tile = true;
   const AggregateSummary mean = accumulated.Scaled(1.0 / collected);
   double value = 0.0;
   FRA_RETURN_NOT_OK(mean.Finalize(query.kind, &value));
@@ -739,8 +660,7 @@ Result<AggregateSummary> ServiceProvider::RunIidEst(const QueryRange& range,
 }
 
 Result<AggregateSummary> ServiceProvider::RunNonIidEst(
-    const QueryRange& range, int silo_id, bool use_lsr,
-    const TileAssembly* tiles) {
+    const QueryRange& range, int silo_id, bool use_lsr) {
   FRA_TRACE_SPAN("provider.non_iid_est");
   const auto grid_it = silo_grids_.find(silo_id);
   if (grid_it == silo_grids_.end()) {
@@ -753,27 +673,18 @@ Result<AggregateSummary> ServiceProvider::RunNonIidEst(
   // optimisation (default), fully covered cells contribute their exact
   // federation-wide aggregate (Sec. 4.2.2 remark) and only boundary cells
   // need the sampled silo's per-cell contributions; the unoptimised Alg. 3
-  // requests the vector for every intersecting cell. A tile-cache
-  // assembly short-circuits the classification entirely: the interior
-  // block and the boundary cells' g_0 summaries were already recovered
-  // from cached tiles.
-  const bool boundary_only =
-      tiles != nullptr || options_.non_iid_boundary_only;
+  // requests the vector for every intersecting cell.
+  const bool boundary_only = options_.non_iid_boundary_only;
   AggregateSummary interior;
   std::vector<uint32_t> expected_cells;
-  if (tiles != nullptr) {
-    interior = tiles->interior;
-    expected_cells = tiles->boundary_cells;
-  } else {
-    merged_grid_.ForEachIntersectingCell(
-        range, [&](size_t cell_id, CellRelation relation) {
-          if (boundary_only && relation == CellRelation::kContained) {
-            interior.Merge(merged_grid_.cell(cell_id));
-          } else {
-            expected_cells.push_back(static_cast<uint32_t>(cell_id));
-          }
-        });
-  }
+  merged_grid_.ForEachIntersectingCell(
+      range, [&](size_t cell_id, CellRelation relation) {
+        if (boundary_only && relation == CellRelation::kContained) {
+          interior.Merge(merged_grid_.cell(cell_id));
+        } else {
+          expected_cells.push_back(static_cast<uint32_t>(cell_id));
+        }
+      });
   // Drop the exact min/max of the interior cells: the boundary estimate
   // below cannot extend them, so the combined summary must not pretend to
   // carry extrema.
@@ -806,9 +717,7 @@ Result<AggregateSummary> ServiceProvider::RunNonIidEst(
     if (res_i.cell_id != expected_cells[i]) {
       return Status::Internal("silo cell vector id mismatch");
     }
-    const AggregateSummary& g0_cell = tiles != nullptr
-                                          ? tiles->boundary_g0[i]
-                                          : merged_grid_.cell(res_i.cell_id);
+    const AggregateSummary& g0_cell = merged_grid_.cell(res_i.cell_id);
     if (g0_cell.count == 0) continue;  // nothing anywhere in this cell
     const AggregateSummary& gk_cell = silo_grid.cell(res_i.cell_id);
     if (gk_cell.count == 0) {
@@ -930,8 +839,7 @@ FraAlgorithm ServiceProvider::RecommendAlgorithm(bool use_lsr) const {
 
 Status ServiceProvider::SyncGrids() {
   const std::vector<uint8_t> request = EncodeGridDeltaRequest();
-  bool any_change = false;
-  std::vector<size_t> changed_cells;
+  size_t changed_cells = 0;
   for (int silo_id : silo_ids_) {
     FRA_ASSIGN_OR_RETURN(std::vector<uint8_t> response,
                          network_->Call(silo_id, request));
@@ -943,13 +851,12 @@ Status ServiceProvider::SyncGrids() {
       silo_data_versions_[silo_id] = data_version;
     }
     if (changed.empty()) continue;
-    any_change = true;
     GridIndex& silo_grid = silo_grids_.at(silo_id);
     for (const CellContribution& cell : changed) {
       if (cell.cell_id >= silo_grid.num_cells()) {
         return Status::Internal("delta sync cell id out of range");
       }
-      changed_cells.push_back(cell.cell_id);
+      ++changed_cells;
       // g_0's cell changes by the same difference as the silo's cell.
       const AggregateSummary& old = silo_grid.cell(cell.cell_id);
       AggregateSummary merged = merged_grid_.cell(cell.cell_id);
@@ -964,20 +871,14 @@ Status ServiceProvider::SyncGrids() {
     silo_grid.CommitUpdates();
     silo_grid.ClearChangedCells();
   }
-  if (any_change) {
+  if (changed_cells > 0) {
     merged_grid_.CommitUpdates();
     merged_grid_.ClearChangedCells();
     if (cache_ != nullptr) {
-      // Bump the data epoch (orphaning every exact-layer entry) and
-      // invalidate exactly the tiles the changed cells fall in; tiles
-      // elsewhere keep serving.
-      std::sort(changed_cells.begin(), changed_cells.end());
-      changed_cells.erase(
-          std::unique(changed_cells.begin(), changed_cells.end()),
-          changed_cells.end());
-      cache_->OnDataChanged(changed_cells);
-      FRA_LOG(INFO) << "grid delta sync touched " << changed_cells.size()
-                    << " cells; cache epoch now " << cache_->epoch();
+      // Bump the data epoch: every cached answer predates the delta.
+      cache_->OnDataChanged();
+      FRA_LOG(INFO) << "grid delta sync applied " << changed_cells
+                    << " cell deltas; cache epoch now " << cache_->epoch();
     }
   }
   return Status::OK();

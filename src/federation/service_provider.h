@@ -104,41 +104,15 @@ class ServiceProvider {
       int max_batch_delay_us = 200;
     };
     CoalescingOptions coalescing;
-    /// Provider-side two-layer answer cache (docs/caching.md): an LRU of
-    /// finalised answers keyed on (range, F, algorithm, eps, delta, data
-    /// epoch) plus a tile layer of grid-aligned partial aggregates that
-    /// answers warm ranges without contacting any silo for their covered
-    /// cells. SyncGrids bumps the data epoch and invalidates affected
-    /// tiles. Off by default: cached answers refresh on SyncGrids only,
-    /// a freshness trade the deployment must opt into.
+    /// Provider-side answer cache (docs/caching.md): an LRU of finalised
+    /// answers keyed on (range, F, algorithm, eps, delta, data epoch).
+    /// SyncGrids bumps the data epoch and clears the LRU. Off by default:
+    /// cached answers refresh on SyncGrids only, a freshness trade the
+    /// deployment must opt into.
     struct CacheOptions {
       bool enabled = false;
-      /// Exact-layer LRU capacity (answers).
+      /// LRU capacity (answers).
       size_t exact_capacity = 1024;
-      /// Snap range coordinates to multiples of this before keying, so
-      /// near-identical ranges share an entry; 0 keys exact bits.
-      double range_quantum = 0.0;
-      /// Tile layer on/off (applies to the single-silo estimators only;
-      /// EXACT/OPTA answers are never tile-assembled).
-      bool tile_layer = true;
-      /// Grid cells per tile side.
-      size_t tile_size = 4;
-      /// Tile LRU capacity.
-      size_t max_tiles = 4096;
-      /// Serve from tiles only when at least this fraction of the tiles
-      /// a query needs was already cached and valid; colder queries take
-      /// the normal path (and warm their tiles for the next query).
-      double min_tile_coverage = 1.0;
-      /// Boundary (partially covered) cells of a tile-assembled answer:
-      /// `kSiloRefine` asks the sampled silo for its clipped per-cell
-      /// contributions and rescales per cell (one exchange — the
-      /// NonIID-est boundary path with cached interior); `kFraction`
-      /// scales the cached federation-wide cell aggregates by the
-      /// intersected-area fraction (zero exchanges, within-cell
-      /// uniformity assumption — see docs/caching.md for the error
-      /// argument).
-      enum class BoundaryMode { kSiloRefine, kFraction };
-      BoundaryMode boundary_mode = BoundaryMode::kSiloRefine;
     };
     CacheOptions cache;
     /// Slow-query flight recorder (docs/observability.md, "Flight
@@ -257,7 +231,7 @@ class ServiceProvider {
   SiloHealthTracker* health() const { return health_.get(); }
   /// The guarantee auditor (null when audit_sample_rate is 0).
   AccuracyAuditor* auditor() const { return auditor_.get(); }
-  /// The two-layer answer cache (null when Options::cache is disabled).
+  /// The answer cache (null when Options::cache is disabled).
   ProviderCache* cache() const { return cache_.get(); }
   /// The slow-query flight recorder (null when disabled).
   FlightRecorder* flight_recorder() const { return recorder_.get(); }
@@ -288,17 +262,6 @@ class ServiceProvider {
   /// while the Tracer is enabled, 0 otherwise.
   uint64_t SampledTraceId();
 
-  /// Interior + boundary aggregates a tile-cache plan recovered for a
-  /// range (ExecuteSampled builds it, RunNonIidEst consumes it): the
-  /// contained-cell block is already summed and every boundary cell's
-  /// federation-wide g_0 summary is at hand, so the only silo work left
-  /// is the boundary refinement.
-  struct TileAssembly {
-    AggregateSummary interior;
-    std::vector<uint32_t> boundary_cells;
-    std::vector<AggregateSummary> boundary_g0;
-  };
-
   /// The one per-query path behind Execute and every ExecuteBatch worker:
   /// builds the query's QueryRecord (trace id, labels, status, duration,
   /// cost, silo outcomes), installs it for the query's duration, and
@@ -308,30 +271,24 @@ class ServiceProvider {
   Result<double> ExecuteRecorded(const FraQuery& query, FraAlgorithm algorithm,
                                  uint64_t draw, double* seconds = nullptr);
 
-  /// Cache-aware body of ExecuteRecorded: exact-layer lookup, then the
-  /// normal execution path (which may itself serve from tiles), then
-  /// insert. `*cache` receives the record's cache label: `off` (no cache
-  /// configured), `hit` (exact-layer), `tile` (assembled from cached
-  /// tiles) or `miss` (cache on, normal path taken).
+  /// Cache-aware body of ExecuteRecorded: cache lookup, then the normal
+  /// execution path, then insert. `*cache` receives the record's cache
+  /// label: `off` (no cache configured), `hit` (answer replayed) or
+  /// `miss` (cache on, normal path taken).
   Result<double> ExecuteCached(const FraQuery& query, FraAlgorithm algorithm,
                                uint64_t draw, std::string_view* cache);
 
   /// Executes a single-silo algorithm with the silo chosen from `draw`:
   /// candidates are the relevant silos (Sec. 4.2.2 remark), and failures
-  /// rotate to the next candidate (when enabled). `*served_from_tile`
-  /// (optional) reports whether the tile layer supplied the interior.
+  /// rotate to the next candidate (when enabled).
   Result<double> ExecuteSampled(const FraQuery& query, FraAlgorithm algorithm,
-                                uint64_t draw,
-                                bool* served_from_tile = nullptr);
+                                uint64_t draw);
 
   Result<AggregateSummary> RunFanOut(const QueryRange& range, bool histogram);
   Result<AggregateSummary> RunIidEst(const QueryRange& range, int silo_id,
                                      bool use_lsr);
-  /// With `tiles` non-null, the interior and the boundary cells' g_0
-  /// summaries come from the tile cache instead of merged_grid_ walks.
   Result<AggregateSummary> RunNonIidEst(const QueryRange& range, int silo_id,
-                                        bool use_lsr,
-                                        const TileAssembly* tiles = nullptr);
+                                        bool use_lsr);
   Result<AggregateSummary> RunAlgorithm(const QueryRange& range,
                                         FraAlgorithm algorithm, int silo_id);
 
@@ -369,7 +326,7 @@ class ServiceProvider {
   std::unique_ptr<AccuracyAuditor> auditor_;
   // Micro-batches data-plane silo calls (null when coalescing is off).
   std::unique_ptr<RequestCoalescer> coalescer_;
-  // Two-layer answer cache (null when Options::cache is disabled).
+  // Answer cache (null when Options::cache is disabled).
   std::unique_ptr<ProviderCache> cache_;
   // Slow-query flight recorder (null when disabled).
   std::unique_ptr<FlightRecorder> recorder_;

@@ -14,7 +14,6 @@
 #include "baseline/centralized.h"
 #include "cache/answer_cache.h"
 #include "cache/provider_cache.h"
-#include "cache/tile_cache.h"
 #include "core/lsr_forest.h"
 #include "data/csv.h"
 #include "data/generator.h"

@@ -119,8 +119,8 @@ class GridIndex {
 
   /// Partition of the cells intersecting a range into the rectangular
   /// block of fully contained cells and the list of boundary (partially
-  /// covered) cells — the shape the provider-side tile cache assembles
-  /// answers from (src/cache, docs/caching.md).
+  /// covered) cells. perfbench reads it for its boundary-cell count, and
+  /// the grid tests pin it against the per-cell walk.
   struct RangeCellClassification {
     /// True when the contained cells are exactly the block
     /// [row0..row1] x [col0..col1] (always true for rectangle ranges and

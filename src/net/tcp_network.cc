@@ -257,6 +257,9 @@ void TcpSiloServer::OnConnEvent(const std::shared_ptr<Conn>& conn,
 
 void TcpSiloServer::DispatchRequest(const std::shared_ptr<Conn>& conn,
                                     std::vector<uint8_t> request) {
+  // Stop() is draining (or has destroyed) the handler pool. The request
+  // gets no response; its connection closes with the server.
+  if (stopping_.load()) return;
   auto slot = std::make_shared<Conn::Slot>();
   conn->slots.push_back(slot);
   // Depth at arrival: how many requests this connection has queued or
@@ -356,6 +359,11 @@ void TcpSiloServer::Stop() {
     accept_loop_->DeregisterFd(listen_fd_);
     CloseFd(&listen_fd_);
   });
+  // A barrier on every loop: once each has run a task submitted after
+  // stopping_ was set, no loop dispatches to the handler pool again.
+  for (size_t i = 0; i < reactor_->num_loops(); ++i) {
+    reactor_->loop(i)->SubmitAndWait([] {});
+  }
   // Drain in-flight handlers; their completions land on the loops and
   // flush whatever responses the sockets will still take.
   handler_pool_.reset();

@@ -28,7 +28,7 @@ class QueryCostLedger {
   struct Rollup {
     std::string algorithm;
     std::string aggregate;
-    std::string cache;  // "hit", "tile", "miss" or "off"
+    std::string cache;  // "hit", "miss" or "off"
     uint64_t queries = 0;
     uint64_t failures = 0;
     double cpu_micros = 0.0;

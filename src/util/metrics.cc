@@ -124,10 +124,8 @@ const char* BuiltinHelp(const std::string& name) {
       {"fra_cache_evictions_total", "Provider cache LRU evictions by layer"},
       {"fra_cache_hits_total", "Provider cache hits by layer"},
       {"fra_cache_invalidations_total",
-       "Tile-cache invalidations from data-epoch bumps"},
+       "Cached answers dropped by data-epoch bumps, by layer"},
       {"fra_cache_misses_total", "Provider cache misses by layer"},
-      {"fra_cache_tile_coverage",
-       "Fraction of needed tiles already cached per tile-served query"},
       {"fra_coalescer_staged_requests",
        "Requests currently staged in per-silo coalescing buffers"},
       {"fra_comm_bytes_total",

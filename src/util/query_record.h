@@ -59,7 +59,7 @@ struct QueryRecord {
   /// AggregateKindToString, the provider's cache-outcome name).
   std::string_view algorithm;
   std::string_view aggregate;
-  std::string_view cache;  // "hit", "tile", "miss" or "off"
+  std::string_view cache;  // "hit", "miss" or "off"
   bool failed = false;
   std::string status;  // "ok" or the failure Status text
   double duration_micros = 0.0;

@@ -1,17 +1,15 @@
-// Provider-side answer cache (docs/caching.md): exact-layer hit/miss/
-// eviction semantics, tile-layer assembly and its (eps, delta) behaviour,
-// and — the acceptance scenario — epoch invalidation after a dynamic
-// update, shown end to end through Federation::IngestAndSync.
+// Provider-side answer cache (docs/caching.md): hit/miss/eviction
+// semantics, misses answering exactly as a provider without a cache, and
+// — the acceptance scenario — epoch invalidation after a dynamic update,
+// shown end to end through Federation::IngestAndSync.
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <memory>
 #include <vector>
 
 #include "cache/answer_cache.h"
 #include "cache/provider_cache.h"
-#include "cache/tile_cache.h"
 #include "federation/admin.h"
 #include "federation/federation.h"
 #include "obs/admin_server.h"
@@ -30,12 +28,9 @@ using CacheOptions = ServiceProvider::Options::CacheOptions;
 
 std::unique_ptr<Federation> MakeFederation(size_t objects, size_t silos,
                                            uint64_t seed,
-                                           const CacheOptions& cache,
-                                           bool clustered = false) {
+                                           const CacheOptions& cache) {
   std::vector<ObjectSet> partitions(silos);
-  const ObjectSet all =
-      clustered ? testing::ClusteredObjects(objects, kDomain, 5, seed)
-                : testing::RandomObjects(objects, kDomain, seed);
+  const ObjectSet all = testing::RandomObjects(objects, kDomain, seed);
   for (size_t i = 0; i < all.size(); ++i) {
     partitions[i % silos].push_back(all[i]);
   }
@@ -47,14 +42,21 @@ std::unique_ptr<Federation> MakeFederation(size_t objects, size_t silos,
   return Federation::Create(std::move(partitions), options).ValueOrDie();
 }
 
-CacheOptions ExactOnly() {
+CacheOptions CacheOn() {
   CacheOptions cache;
   cache.enabled = true;
-  cache.tile_layer = false;
   return cache;
 }
 
-// --- Standalone layers ----------------------------------------------------
+// The registry counter the epoch bump feeds (process-wide, so tests read
+// deltas).
+uint64_t ExactInvalidations() {
+  return MetricsRegistry::Default()
+      .GetCounter("fra_cache_invalidations_total", {{"layer", "exact"}})
+      .Value();
+}
+
+// --- Standalone cache -----------------------------------------------------
 
 TEST(AnswerCacheTest, HitMissAndLruEviction) {
   AnswerCache::Options options;
@@ -73,11 +75,13 @@ TEST(AnswerCacheTest, HitMissAndLruEviction) {
   EXPECT_EQ(counters.misses, 2UL);  // "a" cold, "b" after eviction
   EXPECT_EQ(counters.evictions, 1UL);
   EXPECT_EQ(cache.size(), 2UL);
+  EXPECT_EQ(cache.Clear(), 2UL);
+  EXPECT_EQ(cache.size(), 0UL);
+  EXPECT_FALSE(cache.Lookup("a").has_value());
 }
 
 TEST(ProviderCacheTest, KeyDependsOnEveryComponent) {
-  ProviderCache::Options options;
-  ProviderCache cache(4, 4, options);
+  ProviderCache cache(AnswerCache::Options{});
   const QueryRange range = QueryRange::MakeRect({1, 1}, {3, 3});
   const std::string base = cache.MakeKey(range, 0, 0, 0.1, 0.01);
   EXPECT_EQ(base, cache.MakeKey(range, 0, 0, 0.1, 0.01));
@@ -88,60 +92,15 @@ TEST(ProviderCacheTest, KeyDependsOnEveryComponent) {
   EXPECT_NE(base,
             cache.MakeKey(QueryRange::MakeRect({1, 1}, {3.5, 3}), 0, 0, 0.1,
                           0.01));  // geometry
-  cache.OnDataChanged({0});
+  cache.OnDataChanged();
   EXPECT_EQ(cache.epoch(), 1UL);
   EXPECT_NE(base, cache.MakeKey(range, 0, 0, 0.1, 0.01));  // epoch
 }
 
-TEST(ProviderCacheTest, RangeQuantumCoalescesNearIdenticalRanges) {
-  ProviderCache::Options options;
-  options.range_quantum = 0.5;
-  ProviderCache cache(4, 4, options);
-  EXPECT_EQ(cache.MakeKey(QueryRange::MakeCircle({10.01, 10.0}, 5.0), 0, 0,
-                          0.1, 0.01),
-            cache.MakeKey(QueryRange::MakeCircle({9.99, 10.1}, 5.1), 0, 0,
-                          0.1, 0.01));
-  EXPECT_NE(cache.MakeKey(QueryRange::MakeCircle({10.0, 10.0}, 5.0), 0, 0,
-                          0.1, 0.01),
-            cache.MakeKey(QueryRange::MakeCircle({11.0, 10.0}, 5.0), 0, 0,
-                          0.1, 0.01));
-}
-
-TEST(TileCacheTest, InvalidateOnlyTouchesCoveringTiles) {
-  TileCache::Options options;
-  options.tile_size = 2;
-  TileCache cache(8, 8, options);  // 4x4 tiles over an 8x8 grid
-  const TileCache::CellSource source = [](size_t) {
-    AggregateSummary s;
-    s.Add(1.0);
-    return s;
-  };
-  // Warm every tile: full-grid block, no boundary.
-  TileCache::Plan plan = cache.Assemble(true, 0, 0, 7, 7, {}, source);
-  EXPECT_EQ(plan.tiles_required, 16UL);
-  EXPECT_EQ(plan.tiles_filled, 16UL);
-  EXPECT_DOUBLE_EQ(plan.coverage, 0.0);  // judged before the fill
-  EXPECT_FALSE(plan.servable);
-  EXPECT_EQ(cache.valid_tiles(), 16UL);
-
-  // Cell (row 0, col 0) lives in tile 0 only.
-  EXPECT_EQ(cache.Invalidate({0}), 1UL);
-  EXPECT_EQ(cache.valid_tiles(), 15UL);
-  // Re-invalidating the same tile is a no-op.
-  EXPECT_EQ(cache.Invalidate({0, 1, 8}), 0UL);
-
-  // A warm aligned block is now servable and exact.
-  plan = cache.Assemble(true, 2, 2, 5, 5, {}, source);
-  EXPECT_TRUE(plan.servable);
-  EXPECT_DOUBLE_EQ(plan.coverage, 1.0);
-  EXPECT_EQ(plan.interior.count, 16UL);
-  EXPECT_DOUBLE_EQ(plan.interior.sum, 16.0);
-}
-
-// --- Exact layer through the provider ------------------------------------
+// --- Through the provider -------------------------------------------------
 
 TEST(CacheIntegrationTest, ExactLayerHitServesWithoutSiloTraffic) {
-  auto federation = MakeFederation(4000, 3, 21, ExactOnly());
+  auto federation = MakeFederation(4000, 3, 21, CacheOn());
   ServiceProvider& provider = federation->provider();
   const FraQuery query{QueryRange::MakeCircle({20, 20}, 6),
                        AggregateKind::kSum};
@@ -158,7 +117,7 @@ TEST(CacheIntegrationTest, ExactLayerHitServesWithoutSiloTraffic) {
 }
 
 TEST(CacheIntegrationTest, ExactAnswersBitIdenticalCacheOnVsOff) {
-  auto cached = MakeFederation(6000, 3, 22, ExactOnly());
+  auto cached = MakeFederation(6000, 3, 22, CacheOn());
   auto plain = MakeFederation(6000, 3, 22, CacheOptions{});
   ASSERT_EQ(plain->provider().cache(), nullptr);
   Rng rng(23);
@@ -179,7 +138,7 @@ TEST(CacheIntegrationTest, ExactAnswersBitIdenticalCacheOnVsOff) {
 }
 
 TEST(CacheIntegrationTest, ExactLayerEvictsBeyondCapacity) {
-  CacheOptions options = ExactOnly();
+  CacheOptions options = CacheOn();
   options.exact_capacity = 2;
   auto federation = MakeFederation(2000, 2, 24, options);
   ServiceProvider& provider = federation->provider();
@@ -204,86 +163,55 @@ TEST(CacheIntegrationTest, ExactLayerEvictsBeyondCapacity) {
   EXPECT_GT((provider.comm() - before).messages, 0UL);
 }
 
-// --- Tile layer -----------------------------------------------------------
+TEST(CacheIntegrationTest, CacheMissesAnswerExactlyAsWithoutACache) {
+  // Capacity 0: every query misses, so the cached provider must take the
+  // very path a provider without a cache takes — same answers, same
+  // exchanges.
+  CacheOptions always_miss = CacheOn();
+  always_miss.exact_capacity = 0;
+  auto cached = MakeFederation(6000, 3, 25, always_miss);
+  auto plain = MakeFederation(6000, 3, 25, CacheOptions{});
+  ASSERT_EQ(plain->provider().cache(), nullptr);
 
-TEST(CacheIntegrationTest, TileLayerServesAlignedRangeWithZeroRpcs) {
-  CacheOptions options;
-  options.enabled = true;
-  options.tile_layer = true;
-  options.exact_capacity = 0;  // isolate the tile layer
-  options.min_tile_coverage = 0.0;  // serve (and warm) from the first query
-  // A cell-aligned rect still *touches* the next row/col of cells along
-  // its edges (zero-area partial cells); kFraction scales them by their
-  // intersected area — zero — so the whole answer needs no silo at all.
-  options.boundary_mode = CacheOptions::BoundaryMode::kFraction;
-  auto federation = MakeFederation(8000, 4, 25, options);
-  ServiceProvider& provider = federation->provider();
-
-  // Cell length is 2.0, so this rect is exactly cell-aligned: every
-  // intersecting cell is contained and there is no boundary at all.
-  const QueryRange aligned = QueryRange::MakeRect({8, 8}, {24, 24});
-  const FraQuery query{aligned, AggregateKind::kSum};
-
-  const double exact =
-      provider.Execute(query, FraAlgorithm::kExact).ValueOrDie();
-  const CommStats::Snapshot before = provider.comm();
-  const double tiled =
-      provider.Execute(query, FraAlgorithm::kNonIidEst).ValueOrDie();
-  EXPECT_EQ((provider.comm() - before).messages, 0UL);
-  EXPECT_NEAR(tiled, exact, 1e-6 * std::abs(exact) + 1e-9);
-  EXPECT_GT(provider.cache()->tiles().counters().misses, 0UL);
-
-  // Second pass over the warmed tiles: hits, still no silo traffic.
-  const CommStats::Snapshot warm = provider.comm();
-  provider.Execute(query, FraAlgorithm::kNonIidEst).ValueOrDie();
-  EXPECT_EQ((provider.comm() - warm).messages, 0UL);
-  EXPECT_GT(provider.cache()->tiles().counters().hits, 0UL);
-}
-
-TEST(CacheIntegrationTest, FractionModeStaysWithinGuaranteeBudget) {
-  CacheOptions options;
-  options.enabled = true;
-  options.exact_capacity = 0;  // every query exercises the tile path
-  options.min_tile_coverage = 0.0;
-  options.boundary_mode = CacheOptions::BoundaryMode::kFraction;
-  auto federation =
-      MakeFederation(20000, 4, 26, options, /*clustered=*/true);
-  ServiceProvider& provider = federation->provider();
-
-  Rng rng(27);
-  double worst = 0.0;
-  int measured = 0;
-  for (int q = 0; q < 30; ++q) {
-    const QueryRange range =
-        testing::RandomRange(kDomain, 9.0, q % 2 == 0, &rng);
-    const FraQuery query{range, AggregateKind::kCount};
-    const double exact =
-        provider.ExecuteWithSilo(query, FraAlgorithm::kExact, -1)
-            .ValueOrDie();
-    if (exact < 500.0) continue;  // relative error is meaningless near 0
-    const double estimate =
-        provider.Execute(query, FraAlgorithm::kNonIidEst).ValueOrDie();
-    worst = std::max(worst, std::abs(estimate - exact) / exact);
-    ++measured;
+  Rng rng(26);
+  std::vector<QueryRange> ranges;
+  for (int q = 0; q < 12; ++q) {
+    ranges.push_back(testing::RandomRange(kDomain, 8.0, false, &rng));
   }
-  ASSERT_GT(measured, 5);
-  // The within-cell uniformity assumption costs boundary-cell precision
-  // only; on clustered data the error stays well under the paper's
-  // headline eps = 0.2 regime.
-  EXPECT_LT(worst, 0.2);
-  EXPECT_GT(provider.cache()->tiles().counters().hits +
-                provider.cache()->tiles().counters().misses,
-            0UL);
+  // Cell length is 2.0, so this rect is cell-aligned: its contained block
+  // answers from g0 and only zero-area edge cells are boundary cells.
+  ranges.push_back(QueryRange::MakeRect({8, 8}, {24, 24}));
+
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const FraAlgorithm algorithm :
+         {FraAlgorithm::kIidEst, FraAlgorithm::kIidEstLsr,
+          FraAlgorithm::kNonIidEst, FraAlgorithm::kNonIidEstLsr}) {
+      for (size_t r = 0; r < ranges.size(); ++r) {
+        const FraQuery query{ranges[r], r % 2 == 0 ? AggregateKind::kCount
+                                                   : AggregateKind::kSum};
+        const CommStats::Snapshot cached_before = cached->provider().comm();
+        const CommStats::Snapshot plain_before = plain->provider().comm();
+        const double with_cache =
+            cached->provider().Execute(query, algorithm).ValueOrDie();
+        const double without =
+            plain->provider().Execute(query, algorithm).ValueOrDie();
+        EXPECT_EQ(with_cache, without)
+            << FraAlgorithmToString(algorithm) << " range " << r
+            << " pass " << pass;
+        EXPECT_EQ((cached->provider().comm() - cached_before).messages,
+                  (plain->provider().comm() - plain_before).messages)
+            << FraAlgorithmToString(algorithm) << " range " << r
+            << " pass " << pass;
+      }
+    }
+  }
+  EXPECT_EQ(cached->provider().cache()->exact().counters().hits, 0UL);
 }
 
 // --- Dynamic updates (the acceptance scenario) ----------------------------
 
 TEST(CacheIntegrationTest, EpochInvalidationAfterDynamicUpdate) {
-  CacheOptions options;
-  options.enabled = true;
-  options.tile_layer = true;
-  options.min_tile_coverage = 0.0;
-  auto federation = MakeFederation(5000, 3, 28, options);
+  auto federation = MakeFederation(5000, 3, 28, CacheOn());
   ServiceProvider& provider = federation->provider();
   ProviderCache* cache = provider.cache();
   ASSERT_NE(cache, nullptr);
@@ -299,19 +227,13 @@ TEST(CacheIntegrationTest, EpochInvalidationAfterDynamicUpdate) {
   EXPECT_EQ((provider.comm() - cached_at).messages, 0UL);
   EXPECT_EQ(cache->epoch(), 0UL);
 
-  // Warm the tile layer over the same region so the update below has
-  // valid tiles to invalidate.
-  provider.Execute(query, FraAlgorithm::kNonIidEst).ValueOrDie();
-  ASSERT_GT(cache->tiles().valid_tiles(), 0UL);
-
   // Pour 200 objects into the cached region and sync.
   ObjectSet batch;
   for (int i = 0; i < 200; ++i) batch.push_back({{12.0, 12.0}, 1.0});
   ASSERT_TRUE(federation->IngestAndSync(1, batch).ok());
 
-  // The update bumped the epoch and invalidated the covering tiles.
+  // The update bumped the epoch.
   EXPECT_EQ(cache->epoch(), 1UL);
-  EXPECT_GT(cache->tiles().counters().invalidations, 0UL);
   EXPECT_EQ(federation->silo(1).data_version(), 1UL);
   EXPECT_EQ(provider.silo_data_versions().at(1), 1UL);
 
@@ -319,37 +241,35 @@ TEST(CacheIntegrationTest, EpochInvalidationAfterDynamicUpdate) {
   const double fresh =
       provider.Execute(query, FraAlgorithm::kExact).ValueOrDie();
   EXPECT_DOUBLE_EQ(fresh, stale + 200.0);
-
-  // And the tile layer serves the *fresh* aggregates after refill.
-  const double tiled =
-      provider.Execute(query, FraAlgorithm::kNonIidEst).ValueOrDie();
-  EXPECT_NEAR(tiled, fresh, 1e-6 * fresh);
 }
 
-TEST(CacheIntegrationTest, UntouchedTilesSurviveAnUpdateElsewhere) {
-  CacheOptions options;
-  options.enabled = true;
-  options.exact_capacity = 0;
-  options.min_tile_coverage = 0.0;
-  auto federation = MakeFederation(5000, 3, 29, options);
+TEST(CacheIntegrationTest, EpochBumpCountsEachOrphanedEntryOnce) {
+  auto federation = MakeFederation(3000, 2, 29, CacheOn());
   ServiceProvider& provider = federation->provider();
+  for (const double x : {10.0, 20.0, 30.0}) {
+    ASSERT_TRUE(provider
+                    .Execute({QueryRange::MakeCircle({x, x}, 4),
+                              AggregateKind::kCount},
+                             FraAlgorithm::kExact)
+                    .ok());
+  }
+  ASSERT_EQ(provider.cache()->exact().size(), 3UL);
 
-  // Warm tiles in one corner, then update the opposite corner.
-  const FraQuery query{QueryRange::MakeRect({2, 2}, {10, 10}),
-                       AggregateKind::kCount};
-  provider.Execute(query, FraAlgorithm::kNonIidEst).ValueOrDie();
-  const size_t valid_before = provider.cache()->tiles().valid_tiles();
-  ASSERT_GT(valid_before, 0UL);
-  ASSERT_TRUE(federation->IngestAndSync(0, {{{38.0, 38.0}, 1.0}}).ok());
-  // Far-corner tiles were never cached, so nothing here invalidates.
-  EXPECT_EQ(provider.cache()->tiles().valid_tiles(), valid_before);
-  EXPECT_EQ(provider.cache()->epoch(), 1UL);
+  const uint64_t before = ExactInvalidations();
+  ASSERT_TRUE(federation->IngestAndSync(0, {{{5.0, 5.0}, 1.0}}).ok());
+  EXPECT_EQ(ExactInvalidations() - before, 3UL);
+  EXPECT_EQ(provider.cache()->exact().size(), 0UL);
+
+  // A second bump with no query in between orphans nothing new.
+  ASSERT_TRUE(federation->IngestAndSync(1, {{{35.0, 35.0}, 1.0}}).ok());
+  EXPECT_EQ(provider.cache()->epoch(), 2UL);
+  EXPECT_EQ(ExactInvalidations() - before, 3UL);
 }
 
 // --- Admin surface --------------------------------------------------------
 
 TEST(CacheIntegrationTest, StatuszReportsCacheSection) {
-  auto federation = MakeFederation(2000, 2, 30, ExactOnly());
+  auto federation = MakeFederation(2000, 2, 30, CacheOn());
   ServiceProvider& provider = federation->provider();
   provider
       .Execute({QueryRange::MakeCircle({20, 20}, 5), AggregateKind::kCount},

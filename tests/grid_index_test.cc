@@ -315,9 +315,9 @@ TEST(GridIndexTest, ClassifyRangeCellsAlignedRectBlockAndEdgeCells) {
   const auto grid = GridIndex::Build({}, SpecWithLength(2.5)).ValueOrDie();
   // Exactly cells [0..1] x [0..1]. Intersection tests use closed edges,
   // so the rect also *touches* row 2 / col 2 — those show up as
-  // zero-area boundary cells (5 of them along the top and right edges),
-  // which is what lets area-fraction boundary handling contribute 0 for
-  // them (see TileCache / CacheOptions::BoundaryMode::kFraction).
+  // zero-area boundary cells (5 of them along the top and right edges);
+  // NonIID-est's area-fraction fallback for a boundary cell the sampled
+  // silo has no objects in contributes 0 for them.
   const auto cls =
       grid.ClassifyRangeCells(QueryRange::MakeRect({0, 0}, {5, 5}));
   EXPECT_TRUE(cls.block_ok);

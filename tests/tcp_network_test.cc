@@ -358,6 +358,7 @@ TEST(TcpNetworkTest, StitchedTraceCoversProviderAndSiloSpans) {
     Tracer::Get().Clear();
     ASSERT_TRUE(provider->Execute(query, algorithm).ok());
 
+#if defined(FRA_ENABLE_TRACING) && FRA_ENABLE_TRACING
     const std::vector<uint64_t> traces = Tracer::Get().TraceIds();
     ASSERT_EQ(traces.size(), 1UL)
         << "one query must produce exactly one trace";
@@ -387,6 +388,10 @@ TEST(TcpNetworkTest, StitchedTraceCoversProviderAndSiloSpans) {
     }
     EXPECT_NE(Tracer::Get().ExportChromeTrace().find("origin"),
               std::string::npos);
+#else
+    // Spans are compiled out on both sides of the wire.
+    EXPECT_TRUE(Tracer::Get().AllSpans().empty());
+#endif
   }
 
   Tracer::Get().SetEnabled(false);
