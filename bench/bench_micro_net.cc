@@ -183,10 +183,13 @@ void BM_MetricsRegistryLookup(benchmark::State& state) {
 }
 BENCHMARK(BM_MetricsRegistryLookup);
 
-// FRA_TRACE_SPAN overhead: Arg(0) = tracer disabled (histogram observe
-// only), Arg(1) = enabled (plus a SpanRecord into the ring buffer).
+// FRA_TRACE_SPAN overhead: Arg(0) = untraced thread (trace id 0: one
+// thread-local load), Arg(1) = traced thread with the tracer enabled (two
+// clock reads, a histogram observe and a SpanRecord into the ring).
 void BM_TraceSpanOverhead(benchmark::State& state) {
-  Tracer::Get().SetEnabled(state.range(0) != 0);
+  const bool traced = state.range(0) != 0;
+  Tracer::Get().SetEnabled(traced);
+  ScopedTraceId scope(traced ? NewTraceId() : 0);
   for (auto _ : state) {
     FRA_TRACE_SPAN("bench.span");
   }

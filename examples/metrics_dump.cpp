@@ -52,7 +52,7 @@ void PrintCounterFamily(const char* heading, const char* name,
 void PrintOneTrace() {
   const std::vector<uint64_t> ids = fra::Tracer::Get().TraceIds();
   if (ids.empty()) {
-    std::printf("\n(no traces recorded — built with FRA_ENABLE_TRACING=OFF?)\n");
+    std::printf("\n(no traces recorded)\n");
     return;
   }
   const uint64_t trace_id = ids.back();

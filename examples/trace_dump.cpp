@@ -69,8 +69,7 @@ int main(int argc, char** argv) {
   const std::string document = fra::Tracer::Get().ExportChromeTrace();
   if (document.find("\"ph\"") == std::string::npos) {
     std::fprintf(stderr,
-                 "warning: no spans recorded — built with "
-                 "FRA_ENABLE_TRACING=OFF? Emitting an empty document.\n");
+                 "warning: no spans recorded; emitting an empty document.\n");
   }
 
   if (argc > 1) {

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # CI entry point. Nine stages, selectable by argument:
 #
-#   scripts/ci.sh tracing-on      # default build (FRA_ENABLE_TRACING=ON), full ctest
-#   scripts/ci.sh tracing-off     # spans compiled out, full ctest
+#   scripts/ci.sh test            # default Release build, full ctest
+#   scripts/ci.sh answers         # perfbench inproc_estimator, seed 11: answers
+#                                 # pinned bit for bit (mre, eps_violation_rate)
 #   scripts/ci.sh sanitize        # ASan+UBSan, observability|net|index-labeled tests
 #   scripts/ci.sh sanitize-thread # TSan, net-labeled tests (reactor/TCP/coalescer)
 #   scripts/ci.sh bench-smoke     # bench harnesses at smoke scale + BENCH_*.json
@@ -32,13 +33,46 @@ run_stage() {
     return
   fi
 
+  # answers runs the repository benchmark's in-process estimator workload
+  # (perfbench/run.py builds it from this tree) on a fixed seed and pins
+  # its accuracy figures bit for bit, so a change that moves any answer
+  # fails here. A change that moves answers on purpose updates the pins
+  # and says so in CHANGES.md.
+  if [[ "${stage}" == "answers" ]]; then
+    echo "=== stage ${stage}: build + run inproc_estimator, seed 11 ==="
+    local result
+    result="$(cd "${REPO_ROOT}" &&
+              CARGO_TARGET_DIR="${REPO_ROOT}/build-ci/${stage}" \
+                python3 perfbench/run.py --workload inproc_estimator \
+                  --seed 11 --batches 60 --seconds 5 --trace 0 | tail -n 1)"
+    python3 - "${result}" <<'PYEOF'
+import json
+import sys
+PINS = {'mre': '0.051809129771789315',
+        'eps_violation_rate': '0.13027496995829504'}
+result = json.loads(sys.argv[1])
+failed = result.get('correct') is not True
+if failed:
+    print('FAIL: the run reports correct != true', file=sys.stderr)
+for name, pinned in PINS.items():
+    got = repr(result['metrics'][name]['value'])
+    print(f'    {name} = {got} (pinned {pinned})')
+    if got != pinned:
+        print(f'FAIL: {name} moved from the pinned {pinned} to {got}',
+              file=sys.stderr)
+        failed = True
+sys.exit(1 if failed else 0)
+PYEOF
+    echo "=== stage ${stage}: OK ==="
+    return
+  fi
+
   # metrics-lint builds one binary and exercises the live admin surface
   # over HTTP — no ctest cycle.
   if [[ "${stage}" == "metrics-lint" ]]; then
     local build_dir="${REPO_ROOT}/build-ci/${stage}"
     echo "=== stage ${stage}: configure ==="
-    cmake -S "${REPO_ROOT}" -B "${build_dir}" -DCMAKE_BUILD_TYPE=Release \
-      -DFRA_ENABLE_TRACING=ON
+    cmake -S "${REPO_ROOT}" -B "${build_dir}" -DCMAKE_BUILD_TYPE=Release
     echo "=== stage ${stage}: build ==="
     cmake --build "${build_dir}" -j "${JOBS}" --target admin_scrape_target
     echo "=== stage ${stage}: scrape + lint ==="
@@ -56,8 +90,7 @@ run_stage() {
   if [[ "${stage}" == "alloc-smoke" ]]; then
     local build_dir="${REPO_ROOT}/build-ci/${stage}"
     echo "=== stage ${stage}: configure ==="
-    cmake -S "${REPO_ROOT}" -B "${build_dir}" -DCMAKE_BUILD_TYPE=Release \
-      -DFRA_ENABLE_TRACING=ON
+    cmake -S "${REPO_ROOT}" -B "${build_dir}" -DCMAKE_BUILD_TYPE=Release
     echo "=== stage ${stage}: build ==="
     cmake --build "${build_dir}" -j "${JOBS}" --target bench_micro_net
     echo "=== stage ${stage}: allocation budget ==="
@@ -75,8 +108,7 @@ run_stage() {
   if [[ "${stage}" == "profiler-smoke" ]]; then
     local build_dir="${REPO_ROOT}/build-ci/${stage}"
     echo "=== stage ${stage}: configure ==="
-    cmake -S "${REPO_ROOT}" -B "${build_dir}" -DCMAKE_BUILD_TYPE=Release \
-      -DFRA_ENABLE_TRACING=ON
+    cmake -S "${REPO_ROOT}" -B "${build_dir}" -DCMAKE_BUILD_TYPE=Release
     echo "=== stage ${stage}: build ==="
     cmake --build "${build_dir}" -j "${JOBS}" --target bench_throughput
     echo "=== stage ${stage}: off/on qps comparison ==="
@@ -132,15 +164,10 @@ PYEOF
   local -a ctest_args=(--output-on-failure -j "${JOBS}")
 
   case "${stage}" in
-    tracing-on)
-      cmake_args+=(-DFRA_ENABLE_TRACING=ON)
-      ;;
-    tracing-off)
-      cmake_args+=(-DFRA_ENABLE_TRACING=OFF)
+    test)
       ;;
     sanitize)
       cmake_args+=(
-        -DFRA_ENABLE_TRACING=ON
         -DCMAKE_BUILD_TYPE=RelWithDebInfo
         "-DCMAKE_CXX_FLAGS=-fsanitize=address,undefined -fno-sanitize-recover=all -fno-omit-frame-pointer"
         "-DCMAKE_EXE_LINKER_FLAGS=-fsanitize=address,undefined"
@@ -155,7 +182,6 @@ PYEOF
       ;;
     sanitize-thread)
       cmake_args+=(
-        -DFRA_ENABLE_TRACING=ON
         -DCMAKE_BUILD_TYPE=RelWithDebInfo
         "-DCMAKE_CXX_FLAGS=-fsanitize=thread -fno-omit-frame-pointer"
         "-DCMAKE_EXE_LINKER_FLAGS=-fsanitize=thread"
@@ -170,12 +196,11 @@ PYEOF
       # Bench harnesses at FRA_BENCH_SCALE=smoke (the label sets the env
       # var): guards the coalescing throughput path end to end and that
       # the machine-readable BENCH_*.json artifacts keep being written.
-      cmake_args+=(-DFRA_ENABLE_TRACING=ON)
       ctest_args+=(-L bench_smoke)
       ;;
     *)
       echo "unknown stage: ${stage}" >&2
-      echo "usage: $0 [tracing-on|tracing-off|sanitize|sanitize-thread|bench-smoke|alloc-smoke|profiler-smoke|metrics-lint|docs-check]" >&2
+      echo "usage: $0 [test|answers|sanitize|sanitize-thread|bench-smoke|alloc-smoke|profiler-smoke|metrics-lint|docs-check]" >&2
       exit 2
       ;;
   esac
@@ -200,7 +225,7 @@ PYEOF
 }
 
 if [[ $# -eq 0 ]]; then
-  for stage in docs-check tracing-on tracing-off sanitize sanitize-thread bench-smoke alloc-smoke profiler-smoke metrics-lint; do
+  for stage in docs-check test answers sanitize sanitize-thread bench-smoke alloc-smoke profiler-smoke metrics-lint; do
     run_stage "${stage}"
   done
 else

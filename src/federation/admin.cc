@@ -48,7 +48,6 @@ HttpResponse Statusz(ServiceProvider* provider) {
   out << "  \"build\": {\n";
   out << "    \"git_sha\": \"" << BuildGitSha() << "\",\n";
   out << "    \"build_type\": \"" << BuildTypeName() << "\",\n";
-  out << "    \"tracing_compiled\": " << BuildTracingCompiled() << ",\n";
   out << "    \"tracing_enabled\": " << Tracer::Get().enabled() << "\n";
   out << "  },\n";
 

@@ -66,15 +66,14 @@ void RecordQueryMetrics(const QueryRecord& record) {
 // the sampled silo's denominator component is 0 or near 0 while objects
 // exist (measure values can be zero or negative, so their sums cancel):
 // the estimate silently collapsed to 0 or exploded. The count ratio is
-// robust — counts are non-negative and denom.count == 0 implies the
-// sampled silo saw nothing at all, leaving 0 as the only estimate.
-AggregateSummary RatioEstimate(const AggregateSummary& res,
-                               const AggregateSummary& numer,
-                               const AggregateSummary& denom) {
+// robust — counts are non-negative and denom == 0 implies the sampled
+// silo saw nothing at all, leaving 0 as the only estimate.
+AggregateSummary RatioEstimate(const AggregateSummary& res, uint64_t numer,
+                               uint64_t denom) {
   AggregateSummary out;
-  if (denom.count > 0) {
-    const double scale = static_cast<double>(numer.count) /
-                         static_cast<double>(denom.count);
+  if (denom > 0) {
+    const double scale =
+        static_cast<double>(numer) / static_cast<double>(denom);
     out.count = static_cast<uint64_t>(
         std::llround(static_cast<double>(res.count) * scale));
     out.sum = res.sum * scale;
@@ -422,18 +421,19 @@ void ServiceProvider::MaybeRecordFlight(const FraQuery& query,
 Result<double> ServiceProvider::ExecuteSampled(const FraQuery& query,
                                                FraAlgorithm algorithm,
                                                uint64_t draw) {
-  // Candidate silos: per the Sec. 4.2.2 remark for non-overlapping
-  // coverage, only those whose grid index reports data in cells touching
-  // the range (known provider-side from Alg. 1, no comm).
+  // The query's one walk of the grid: the relevant-silo filter, sum_0 and
+  // NonIID-est's interior/boundary split all read these cells. Candidate
+  // silos: per the Sec. 4.2.2 remark for non-overlapping coverage, only
+  // those whose grid index reports data in cells touching the range
+  // (known provider-side from Alg. 1, no comm).
+  GridIndex::RangeCells cells;
   std::vector<int> candidates;
   candidates.reserve(silo_ids_.size());
   {
     FRA_TRACE_SPAN("provider.dispatch");
-    for (int silo_id : silo_ids_) {
-      const auto& grid = silo_grids_.at(silo_id);
-      if (grid.IntersectingCellsAggregate(query.range).count > 0) {
-        candidates.push_back(silo_id);
-      }
+    cells = merged_grid_.CellsOf(query.range);
+    for (const auto& [silo_id, grid] : silo_grids_) {
+      if (grid.AggregateOver(cells).count > 0) candidates.push_back(silo_id);
     }
   }
   if (candidates.empty()) {
@@ -504,7 +504,7 @@ Result<double> ServiceProvider::ExecuteSampled(const FraQuery& query,
   for (size_t attempt = 0; attempt < attempts && collected < want;
        ++attempt) {
     Result<AggregateSummary> partial =
-        RunAlgorithm(query.range, algorithm, order[attempt]);
+        RunSampled(cells, algorithm, order[attempt]);
     if (partial.ok()) {
       accumulated.count += partial->count;
       accumulated.sum += partial->sum;
@@ -533,31 +533,30 @@ Result<double> ServiceProvider::ExecuteWithSilo(const FraQuery& query,
         std::string(AggregateKindToString(query.kind)) +
         " requires the EXACT algorithm");
   }
-  FRA_ASSIGN_OR_RETURN(AggregateSummary summary,
-                       RunAlgorithm(query.range, algorithm, silo_id));
+  FRA_ASSIGN_OR_RETURN(
+      AggregateSummary summary,
+      IsSingleSilo(algorithm)
+          ? RunSampled(merged_grid_.CellsOf(query.range), algorithm, silo_id)
+          : RunFanOut(query.range, algorithm == FraAlgorithm::kOpta));
   double value = 0.0;
   FRA_RETURN_NOT_OK(summary.Finalize(query.kind, &value));
   return value;
 }
 
-Result<AggregateSummary> ServiceProvider::RunAlgorithm(const QueryRange& range,
-                                                       FraAlgorithm algorithm,
-                                                       int silo_id) {
+Result<AggregateSummary> ServiceProvider::RunSampled(
+    const GridIndex::RangeCells& cells, FraAlgorithm algorithm, int silo_id) {
   switch (algorithm) {
-    case FraAlgorithm::kExact:
-      return RunFanOut(range, /*histogram=*/false);
-    case FraAlgorithm::kOpta:
-      return RunFanOut(range, /*histogram=*/true);
     case FraAlgorithm::kIidEst:
-      return RunIidEst(range, silo_id, /*use_lsr=*/false);
+      return RunIidEst(cells, silo_id, /*use_lsr=*/false);
     case FraAlgorithm::kIidEstLsr:
-      return RunIidEst(range, silo_id, /*use_lsr=*/true);
+      return RunIidEst(cells, silo_id, /*use_lsr=*/true);
     case FraAlgorithm::kNonIidEst:
-      return RunNonIidEst(range, silo_id, /*use_lsr=*/false);
+      return RunNonIidEst(cells, silo_id, /*use_lsr=*/false);
     case FraAlgorithm::kNonIidEstLsr:
-      return RunNonIidEst(range, silo_id, /*use_lsr=*/true);
+      return RunNonIidEst(cells, silo_id, /*use_lsr=*/true);
+    default:
+      return Status::InvalidArgument("not a single-silo algorithm");
   }
-  return Status::InvalidArgument("unknown algorithm");
 }
 
 Result<std::vector<uint8_t>> ServiceProvider::CallSilo(
@@ -625,9 +624,8 @@ Result<AggregateSummary> ServiceProvider::RunFanOut(const QueryRange& range,
   return total;
 }
 
-Result<AggregateSummary> ServiceProvider::RunIidEst(const QueryRange& range,
-                                                    int silo_id,
-                                                    bool use_lsr) {
+Result<AggregateSummary> ServiceProvider::RunIidEst(
+    const GridIndex::RangeCells& cells, int silo_id, bool use_lsr) {
   FRA_TRACE_SPAN("provider.iid_est");
   const auto grid_it = silo_grids_.find(silo_id);
   if (grid_it == silo_grids_.end()) {
@@ -635,22 +633,22 @@ Result<AggregateSummary> ServiceProvider::RunIidEst(const QueryRange& range,
                                    std::to_string(silo_id));
   }
   // sum_0 / sum_k over the cells intersecting R, via prefix sums
-  // (Sec. 4.2.1 remark).
-  const AggregateSummary sum0 = merged_grid_.IntersectingCellsAggregate(range);
-  if (sum0.count == 0) {
+  // (Sec. 4.2.1 remark). The rescale reads counts only.
+  const uint64_t sum0 = merged_grid_.AggregateOver(cells).count;
+  if (sum0 == 0) {
     // No federation object lies in any cell touching R => exact zero.
     return AggregateSummary();
   }
-  const AggregateSummary sumk = grid_it->second.IntersectingCellsAggregate(range);
+  const uint64_t sumk = grid_it->second.AggregateOver(cells).count;
 
   AggregateRequest request;
-  request.range = range;
+  request.range = cells.range;
   request.mode = use_lsr ? LocalQueryMode::kLsr : LocalQueryMode::kExact;
   request.epsilon = options_.epsilon;
   request.delta = options_.delta;
   // Lemma 1's rough estimate of the silo-local result: the sampled silo's
   // own grid aggregate over the intersecting cells.
-  request.sum0 = static_cast<double>(sumk.count);
+  request.sum0 = static_cast<double>(sumk);
 
   FRA_ASSIGN_OR_RETURN(std::vector<uint8_t> response,
                        CallSilo(silo_id, request.Encode()));
@@ -660,7 +658,7 @@ Result<AggregateSummary> ServiceProvider::RunIidEst(const QueryRange& range,
 }
 
 Result<AggregateSummary> ServiceProvider::RunNonIidEst(
-    const QueryRange& range, int silo_id, bool use_lsr) {
+    const GridIndex::RangeCells& cells, int silo_id, bool use_lsr) {
   FRA_TRACE_SPAN("provider.non_iid_est");
   const auto grid_it = silo_grids_.find(silo_id);
   if (grid_it == silo_grids_.end()) {
@@ -677,14 +675,13 @@ Result<AggregateSummary> ServiceProvider::RunNonIidEst(
   const bool boundary_only = options_.non_iid_boundary_only;
   AggregateSummary interior;
   std::vector<uint32_t> expected_cells;
-  merged_grid_.ForEachIntersectingCell(
-      range, [&](size_t cell_id, CellRelation relation) {
-        if (boundary_only && relation == CellRelation::kContained) {
-          interior.Merge(merged_grid_.cell(cell_id));
-        } else {
-          expected_cells.push_back(static_cast<uint32_t>(cell_id));
-        }
-      });
+  merged_grid_.ForEachCell(cells, [&](size_t cell_id, CellRelation relation) {
+    if (boundary_only && relation == CellRelation::kContained) {
+      interior.Merge(merged_grid_.cell(cell_id));
+    } else {
+      expected_cells.push_back(static_cast<uint32_t>(cell_id));
+    }
+  });
   // Drop the exact min/max of the interior cells: the boundary estimate
   // below cannot extend them, so the combined summary must not pretend to
   // carry extrema.
@@ -694,12 +691,11 @@ Result<AggregateSummary> ServiceProvider::RunNonIidEst(
   if (expected_cells.empty()) return interior;
 
   CellVectorRequest request;
-  request.range = range;
+  request.range = cells.range;
   request.mode = use_lsr ? LocalQueryMode::kLsr : LocalQueryMode::kExact;
   request.epsilon = options_.epsilon;
   request.delta = options_.delta;
-  request.sum0 = static_cast<double>(
-      silo_grid.IntersectingCellsAggregate(range).count);
+  request.sum0 = static_cast<double>(silo_grid.AggregateOver(cells).count);
   request.full_vector = !boundary_only;
 
   FRA_ASSIGN_OR_RETURN(std::vector<uint8_t> response,
@@ -724,13 +720,14 @@ Result<AggregateSummary> ServiceProvider::RunNonIidEst(
       // The sampled silo has no objects in this cell, so the per-cell
       // ratio is undefined. Fall back to the uniformity assumption the
       // estimator already makes within a cell.
-      AddAreaFraction(merged_grid_, range, res_i.cell_id, g0_cell, &estimate);
+      AddAreaFraction(merged_grid_, cells.range, res_i.cell_id, g0_cell,
+                      &estimate);
       continue;
     }
     // est_i = res_i^k * (aggregation of cell i in g_0) /
     //                   (aggregation of cell i in g_k)       (Alg. 3 line 6)
     const AggregateSummary est_i =
-        RatioEstimate(res_i.summary, g0_cell, gk_cell);
+        RatioEstimate(res_i.summary, g0_cell.count, gk_cell.count);
     estimate.count += est_i.count;
     estimate.sum += est_i.sum;
     estimate.sum_sqr += est_i.sum_sqr;

@@ -285,12 +285,14 @@ class ServiceProvider {
                                 uint64_t draw);
 
   Result<AggregateSummary> RunFanOut(const QueryRange& range, bool histogram);
-  Result<AggregateSummary> RunIidEst(const QueryRange& range, int silo_id,
-                                     bool use_lsr);
-  Result<AggregateSummary> RunNonIidEst(const QueryRange& range, int silo_id,
-                                        bool use_lsr);
-  Result<AggregateSummary> RunAlgorithm(const QueryRange& range,
-                                        FraAlgorithm algorithm, int silo_id);
+  /// Runs a single-silo algorithm against `silo_id`. `cells` are
+  /// merged_grid_.CellsOf(range), the query's one walk of the grid.
+  Result<AggregateSummary> RunSampled(const GridIndex::RangeCells& cells,
+                                      FraAlgorithm algorithm, int silo_id);
+  Result<AggregateSummary> RunIidEst(const GridIndex::RangeCells& cells,
+                                     int silo_id, bool use_lsr);
+  Result<AggregateSummary> RunNonIidEst(const GridIndex::RangeCells& cells,
+                                        int silo_id, bool use_lsr);
 
   /// Data-plane exchange with one silo: through the coalescer when
   /// enabled, a direct Network::Call otherwise. Notes the exchange into

@@ -119,11 +119,11 @@ bool GridIndex::RowSpan(const QueryRange& range, size_t row, size_t* lo,
   return true;
 }
 
-void GridIndex::ForEachIntersectingCell(
-    const QueryRange& range,
-    const std::function<void(size_t, CellRelation)>& fn) const {
+GridIndex::RangeCells GridIndex::CellsOf(const QueryRange& range) const {
+  RangeCells cells;
+  cells.range = range;
   const Rect bbox = range.BoundingBox();
-  if (!bbox.Intersects(spec_.domain)) return;
+  if (!bbox.Intersects(spec_.domain)) return cells;
 
   auto row_clamped = [&](double y) {
     return static_cast<size_t>(
@@ -132,19 +132,33 @@ void GridIndex::ForEachIntersectingCell(
   };
   size_t row_begin = row_clamped(bbox.min.y);
   if (row_begin > 0) --row_begin;  // lower neighbour may touch at an edge
-  const size_t row_end = row_clamped(bbox.max.y);
+  size_t row_end = row_clamped(bbox.max.y);
 
+  size_t lo = 0;
+  size_t hi = 0;
+  if (range.is_rect()) {
+    // Every row a rectangle intersects has the same column span, so its
+    // cells are one block between the first and the last row RowSpan
+    // verifies (the expanded first row may miss it entirely).
+    while (row_begin <= row_end && !RowSpan(range, row_begin, &lo, &hi)) {
+      ++row_begin;
+    }
+    if (row_begin > row_end) return cells;
+    size_t top_lo = 0;
+    size_t top_hi = 0;
+    while (row_end > row_begin && !RowSpan(range, row_end, &top_lo, &top_hi)) {
+      --row_end;
+    }
+    cells.blocks.push_back({row_begin, lo, row_end, hi});
+    return cells;
+  }
+  cells.blocks.reserve(row_end - row_begin + 1);
   for (size_t row = row_begin; row <= row_end; ++row) {
-    size_t lo = 0;
-    size_t hi = 0;
-    if (!RowSpan(range, row, &lo, &hi)) continue;
-    for (size_t col = lo; col <= hi; ++col) {
-      const Rect cell_rect = CellRect(row, col);
-      if (!range.Intersects(cell_rect)) continue;
-      fn(CellId(row, col), range.Contains(cell_rect) ? CellRelation::kContained
-                                                     : CellRelation::kPartial);
+    if (RowSpan(range, row, &lo, &hi)) {
+      cells.blocks.push_back({row, lo, row, hi});
     }
   }
+  return cells;
 }
 
 GridIndex::RangeCellClassification GridIndex::ClassifyRangeCells(
@@ -256,36 +270,13 @@ std::vector<size_t> GridIndex::ChangedCells() const {
 AggregateSummary GridIndex::IntersectingCellsAggregate(
     const QueryRange& range) const {
   FRA_TRACE_SPAN("grid.intersecting_aggregate");
+  return AggregateOver(CellsOf(range));
+}
+
+AggregateSummary GridIndex::AggregateOver(const RangeCells& cells) const {
   AggregateSummary acc;
-  const Rect bbox = range.BoundingBox();
-  if (!bbox.Intersects(spec_.domain)) return acc;
-
-  auto row_clamped = [&](double y) {
-    return static_cast<size_t>(
-        std::clamp(std::floor((y - spec_.domain.min.y) / spec_.cell_length),
-                   0.0, static_cast<double>(rows_ - 1)));
-  };
-  size_t row_begin = row_clamped(bbox.min.y);
-  if (row_begin > 0) --row_begin;  // lower neighbour may touch at an edge
-  const size_t row_end = row_clamped(bbox.max.y);
-
-  if (range.is_rect()) {
-    // One O(1) block: every cell in the rectangle's row/col span
-    // intersects it. The expanded first row may miss the rectangle
-    // entirely; skip forward until a row intersects.
-    size_t lo = 0;
-    size_t hi = 0;
-    size_t row = row_begin;
-    while (row <= row_end && !RowSpan(range, row, &lo, &hi)) ++row;
-    if (row > row_end) return acc;
-    return BlockAggregate(row, lo, row_end, hi);
-  }
-
-  for (size_t row = row_begin; row <= row_end; ++row) {
-    size_t lo = 0;
-    size_t hi = 0;
-    if (!RowSpan(range, row, &lo, &hi)) continue;
-    acc.Merge(BlockAggregate(row, lo, row, hi));
+  for (const RangeCells::Block& b : cells.blocks) {
+    acc.Merge(BlockAggregate(b.row0, b.col0, b.row1, b.col1));
   }
   return acc;
 }

@@ -3,7 +3,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <unordered_map>
 #include <vector>
 
@@ -110,12 +109,42 @@ class GridIndex {
   /// Summary over the whole grid.
   const AggregateSummary& total() const { return total_; }
 
-  /// Invokes `fn(cell_id, relation)` for every cell that intersects
-  /// `range`. Candidate cells are derived from per-row circle chords /
-  /// the rectangle extent and verified geometrically.
-  void ForEachIntersectingCell(
-      const QueryRange& range,
-      const std::function<void(size_t, CellRelation)>& fn) const;
+  /// The cells a range intersects, found by one walk of the grid
+  /// (CellsOf). Any grid with the same spec reads them: the provider walks
+  /// g_0 once per query and aggregates every g_i over the result
+  /// (AggregateOver). Each block is the inclusive cell block
+  /// [row0..row1] x [col0..col1]: a circle gets one block per intersecting
+  /// row (its verified column span), a rectangle one block. Blocks ascend
+  /// by row, so ForEachCell visits cells in ascending id.
+  struct RangeCells {
+    struct Block {
+      size_t row0 = 0, col0 = 0, row1 = 0, col1 = 0;
+    };
+    QueryRange range;
+    std::vector<Block> blocks;
+  };
+  RangeCells CellsOf(const QueryRange& range) const;
+
+  /// Invokes `fn(cell_id, relation)` for every cell of `cells`, in
+  /// ascending id; the relation is `cells.range.Contains(cell rect)`.
+  template <typename Fn>
+  void ForEachCell(const RangeCells& cells, Fn&& fn) const {
+    for (const RangeCells::Block& block : cells.blocks) {
+      for (size_t row = block.row0; row <= block.row1; ++row) {
+        for (size_t col = block.col0; col <= block.col1; ++col) {
+          fn(CellId(row, col), cells.range.Contains(CellRect(row, col))
+                                   ? CellRelation::kContained
+                                   : CellRelation::kPartial);
+        }
+      }
+    }
+  }
+
+  /// ForEachCell over CellsOf(`range`): every cell that intersects it.
+  template <typename Fn>
+  void ForEachIntersectingCell(const QueryRange& range, Fn&& fn) const {
+    ForEachCell(CellsOf(range), fn);
+  }
 
   /// Partition of the cells intersecting a range into the rectangular
   /// block of fully contained cells and the list of boundary (partially
@@ -137,10 +166,14 @@ class GridIndex {
   RangeCellClassification ClassifyRangeCells(const QueryRange& range) const;
 
   /// Aggregate of all cells intersecting `range` — the paper's sum_0 /
-  /// sum_k. Uses the cumulative-array fast path: O(1) for rectangles,
-  /// O(rows) for circles. The returned summary's min/max fields are not
-  /// populated (prefix sums cover linear components only).
+  /// sum_k: AggregateOver(CellsOf(`range`)).
   AggregateSummary IntersectingCellsAggregate(const QueryRange& range) const;
+
+  /// This grid's aggregate over `cells` (CellsOf of a grid with the same
+  /// spec), one BlockAggregate per block: O(1) for rectangles, O(rows) for
+  /// circles. The returned summary's min/max fields are not populated
+  /// (prefix sums cover linear components only).
+  AggregateSummary AggregateOver(const RangeCells& cells) const;
 
   /// Reference implementation that walks every candidate cell; used by
   /// tests and the prefix-sum ablation bench.

@@ -24,20 +24,10 @@ std::string BuildTypeName() {
 #endif
 }
 
-bool BuildTracingCompiled() {
-#if defined(FRA_ENABLE_TRACING) && FRA_ENABLE_TRACING
-  return true;
-#else
-  return false;
-#endif
-}
-
 void RegisterBuildInfoMetric() {
   MetricsRegistry::Default()
       .GetGauge("fra_build_info",
-                {{"git_sha", BuildGitSha()},
-                 {"build_type", BuildTypeName()},
-                 {"tracing", BuildTracingCompiled() ? "on" : "off"}})
+                {{"git_sha", BuildGitSha()}, {"build_type", BuildTypeName()}})
       .Set(1.0);
 }
 

@@ -13,13 +13,9 @@ std::string BuildGitSha();
 /// CMAKE_BUILD_TYPE at configure time ("unknown" when not stamped).
 std::string BuildTypeName();
 
-/// True when FRA_TRACE_SPAN query-path spans were compiled in
-/// (FRA_ENABLE_TRACING).
-bool BuildTracingCompiled();
-
 /// Registers `fra_build_info` in the default metrics registry: a
 /// constant gauge of value 1 whose labels carry the build metadata
-/// (git_sha, build_type, tracing), the standard Prometheus idiom for
+/// (git_sha, build_type), the standard Prometheus idiom for
 /// joining build provenance onto any other series. Idempotent; called by
 /// AdminServer::Start so every scraped process exposes it.
 void RegisterBuildInfoMetric();

@@ -9,7 +9,6 @@
 namespace fra {
 namespace {
 
-thread_local uint64_t t_current_trace_id = 0;
 thread_local SpanCollector* t_current_collector = nullptr;
 std::atomic<uint64_t> g_next_trace_id{1};
 
@@ -43,18 +42,18 @@ uint64_t NowNanos(std::chrono::steady_clock::time_point tp) {
 
 }  // namespace
 
-uint64_t CurrentTraceId() { return t_current_trace_id; }
-
 uint64_t NewTraceId() {
   return g_next_trace_id.fetch_add(1, std::memory_order_relaxed);
 }
 
 ScopedTraceId::ScopedTraceId(uint64_t trace_id)
-    : previous_(t_current_trace_id) {
-  t_current_trace_id = trace_id;
+    : previous_(trace_internal::current_trace_id) {
+  trace_internal::current_trace_id = trace_id;
 }
 
-ScopedTraceId::~ScopedTraceId() { t_current_trace_id = previous_; }
+ScopedTraceId::~ScopedTraceId() {
+  trace_internal::current_trace_id = previous_;
+}
 
 SpanCollector::SpanCollector() : previous_(t_current_collector) {
   t_current_collector = this;
@@ -253,28 +252,23 @@ Histogram& SpanHistogram(const char* name) {
 
 }  // namespace
 
-TraceSpan::~TraceSpan() {
+void TraceSpan::Finish() {
   const auto end = std::chrono::steady_clock::now();
   const uint64_t duration_nanos = NowNanos(end) - NowNanos(start_);
   SpanHistogram(name_).Observe(static_cast<double>(duration_nanos) / 1e3);
   SpanCollector* collector = SpanCollector::Current();
-  const uint64_t trace_id = CurrentTraceId();
   Tracer& tracer = Tracer::Get();
-  if (collector != nullptr && trace_id != 0) {
-    // Inside a server handler serving a traced request: the span belongs
-    // to the caller's trace, not this process's ring.
-    SpanRecord record;
-    record.trace_id = trace_id;
-    record.name = name_;
-    record.start_nanos = NowNanos(start_);
-    record.duration_nanos = duration_nanos;
+  if (collector == nullptr && !tracer.enabled()) return;
+  SpanRecord record;
+  record.trace_id = trace_id_;
+  record.name = name_;
+  record.start_nanos = NowNanos(start_);
+  record.duration_nanos = duration_nanos;
+  if (collector != nullptr) {
+    // Inside a server handler serving a traced request (or a provider
+    // query batching its spans): the collector ships or drains them.
     collector->Add(std::move(record));
-  } else if (trace_id != 0 && tracer.enabled()) {
-    SpanRecord record;
-    record.trace_id = trace_id;
-    record.name = name_;
-    record.start_nanos = NowNanos(start_);
-    record.duration_nanos = duration_nanos;
+  } else {
     tracer.Record(std::move(record));
   }
 }

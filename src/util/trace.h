@@ -14,27 +14,31 @@
 namespace fra {
 
 /// Query-path tracing: every stage of a query wraps itself in a
-/// FRA_TRACE_SPAN. Each span always feeds the
+/// FRA_TRACE_SPAN. A span is live only while a trace is active on its
+/// thread (non-zero current trace id — the provider samples one in
+/// ServiceProvider::Options::trace_sample_every_n queries); on an
+/// untraced thread it reads no clock and touches no histogram, so it
+/// costs one thread-local load. A live span feeds the
 /// `fra_span_duration_microseconds{span=...}` histogram of the default
-/// registry; when the process-wide Tracer is additionally enabled at
-/// runtime AND a trace is active on the thread (non-zero current trace
-/// id — the provider samples one in
-/// ServiceProvider::Options::trace_sample_every_n queries), the span is
-/// also appended to a bounded in-memory buffer
-/// tagged with the current trace id, so one query's full path (provider
-/// dispatch -> network -> silo-local index work -> rescale) can be read
-/// back as an ordered list of timed spans. Trace ids cross the wire in a
-/// message envelope (see net/message.h and docs/wire_protocol.md), and
-/// silo-side spans travel back as a trailing section on response frames,
-/// so a TCP federation stitches both sides into ONE trace: the provider
-/// ingests the silo's records under the same trace id with a
-/// `silo=<id>` tag (SpanRecord::tag).
-///
-/// Building with -DFRA_ENABLE_TRACING=OFF compiles every FRA_TRACE_SPAN
-/// to nothing; the metrics registry itself is not gated.
+/// registry, and when the process-wide Tracer is enabled it is also
+/// appended to a bounded in-memory buffer tagged with the trace id, so
+/// one query's full path (provider dispatch -> network -> silo-local
+/// index work -> rescale) can be read back as an ordered list of timed
+/// spans. Trace ids cross the wire in a message envelope (see
+/// net/message.h and docs/wire_protocol.md), and silo-side spans travel
+/// back as a trailing section on response frames, so a TCP federation
+/// stitches both sides into ONE trace: the provider ingests the silo's
+/// records under the same trace id with a `silo=<id>` tag
+/// (SpanRecord::tag).
+
+namespace trace_internal {
+// This thread's current trace id; inline so that CurrentTraceId, and with
+// it an untraced span, is one thread-local load.
+inline thread_local uint64_t current_trace_id = 0;
+}  // namespace trace_internal
 
 /// The trace id active on this thread; 0 = no active trace.
-uint64_t CurrentTraceId();
+inline uint64_t CurrentTraceId() { return trace_internal::current_trace_id; }
 
 /// Draws a fresh non-zero trace id (process-unique).
 uint64_t NewTraceId();
@@ -98,8 +102,8 @@ class SpanCollector {
 };
 
 /// Process-wide span buffer, indexed per trace. Disabled by default:
-/// recording costs nothing until SetEnabled(true) (spans still update
-/// histograms).
+/// recording costs nothing until SetEnabled(true) (spans of traced
+/// threads still update histograms).
 class Tracer {
  public:
   static Tracer& Get();
@@ -159,32 +163,35 @@ class Tracer {
 };
 
 /// RAII stopwatch behind FRA_TRACE_SPAN. `name` must outlive the span
-/// (every call site passes a string literal).
+/// (every call site passes a string literal). The span belongs to the
+/// trace active when it opens; with none it does nothing at all.
 class TraceSpan {
  public:
   explicit TraceSpan(const char* name)
-      : name_(name), start_(std::chrono::steady_clock::now()) {}
-  ~TraceSpan();
+      : name_(name), trace_id_(CurrentTraceId()) {
+    if (trace_id_ != 0) start_ = std::chrono::steady_clock::now();
+  }
+  ~TraceSpan() {
+    if (trace_id_ != 0) Finish();
+  }
   TraceSpan(const TraceSpan&) = delete;
   TraceSpan& operator=(const TraceSpan&) = delete;
 
  private:
+  // Observes the duration and records the span (traced spans only).
+  void Finish();
+
   const char* name_;
+  uint64_t trace_id_;
   std::chrono::steady_clock::time_point start_;
 };
 
 }  // namespace fra
 
-#if defined(FRA_ENABLE_TRACING) && FRA_ENABLE_TRACING
 #define FRA_TRACE_CONCAT_INNER(a, b) a##b
 #define FRA_TRACE_CONCAT(a, b) FRA_TRACE_CONCAT_INNER(a, b)
 /// Times the enclosing scope as one span named `name` (a string literal).
 #define FRA_TRACE_SPAN(name) \
   ::fra::TraceSpan FRA_TRACE_CONCAT(fra_trace_span_, __LINE__)(name)
-#else
-#define FRA_TRACE_SPAN(name) \
-  do {                       \
-  } while (false)
-#endif
 
 #endif  // FRA_UTIL_TRACE_H_

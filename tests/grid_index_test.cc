@@ -152,9 +152,17 @@ TEST_P(GridQueryPropertyTest, FastAggregateEqualsNaive) {
   const GridQueryParam param = GetParam();
   const ObjectSet objects =
       testing::ClusteredObjects(param.num_objects, kDomain, 3, 77);
-  const auto grid =
-      GridIndex::Build(objects, SpecWithLength(param.cell_length))
+  const GridIndex::GridSpec spec = SpecWithLength(param.cell_length);
+  const auto grid = GridIndex::Build(objects, spec).ValueOrDie();
+  // The same objects with the second half added after the build and never
+  // committed: AggregateOver has to fold the pending delta in.
+  const size_t half = objects.size() / 2;
+  auto pending =
+      GridIndex::Build(ObjectSet(objects.begin(), objects.begin() + half), spec)
           .ValueOrDie();
+  for (size_t i = half; i < objects.size(); ++i) pending.Add(objects[i]);
+  ASSERT_GT(pending.pending_updates(), 0UL);
+
   Rng rng(13);
   for (int q = 0; q < 60; ++q) {
     const QueryRange range =
@@ -164,6 +172,30 @@ TEST_P(GridQueryPropertyTest, FastAggregateEqualsNaive) {
     EXPECT_EQ(fast.count, naive.count) << "query " << q;
     EXPECT_NEAR(fast.sum, naive.sum, 1e-6) << "query " << q;
     EXPECT_NEAR(fast.sum_sqr, naive.sum_sqr, 1e-6) << "query " << q;
+
+    // One walk serves every grid of the spec.
+    const GridIndex::RangeCells cells = grid.CellsOf(range);
+    EXPECT_EQ(grid.AggregateOver(cells).count, naive.count) << "query " << q;
+    const AggregateSummary pending_agg = pending.AggregateOver(cells);
+    EXPECT_EQ(pending_agg.count, naive.count) << "query " << q;
+    EXPECT_NEAR(pending_agg.sum, naive.sum, 1e-6) << "query " << q;
+
+    // The walk visits exactly the intersecting cells, in ascending id,
+    // each with its containment relation.
+    std::vector<size_t> visited;
+    grid.ForEachCell(cells, [&](size_t id, CellRelation relation) {
+      const Rect cell = grid.CellRect(grid.RowOf(id), grid.ColOf(id));
+      EXPECT_EQ(relation == CellRelation::kContained, range.Contains(cell))
+          << "query " << q << " cell " << id;
+      visited.push_back(id);
+    });
+    std::vector<size_t> intersecting;
+    for (size_t id = 0; id < grid.num_cells(); ++id) {
+      if (range.Intersects(grid.CellRect(grid.RowOf(id), grid.ColOf(id)))) {
+        intersecting.push_back(id);
+      }
+    }
+    EXPECT_EQ(visited, intersecting) << "query " << q;
   }
 }
 

@@ -274,15 +274,33 @@ TEST(TraceTest, SpansRecordOnlyWhenEnabled) {
     FRA_TRACE_SPAN("test.enabled");
   }
   tracer.SetEnabled(false);
-#if defined(FRA_ENABLE_TRACING) && FRA_ENABLE_TRACING
   const std::vector<SpanRecord> spans = tracer.SpansForTrace(trace_id);
   ASSERT_EQ(spans.size(), 1UL);
   EXPECT_EQ(spans[0].name, "test.enabled");
   EXPECT_EQ(spans[0].trace_id, trace_id);
-#else
-  EXPECT_TRUE(tracer.AllSpans().empty());
-#endif
   tracer.Clear();
+}
+
+TEST(TraceTest, UntracedSpanObservesNothing) {
+  const Histogram& durations = MetricsRegistry::Default().GetHistogram(
+      "fra_span_duration_microseconds", {{"span", "test.untraced"}});
+  Tracer& tracer = Tracer::Get();
+  tracer.Clear();
+  tracer.SetEnabled(false);
+  ASSERT_EQ(CurrentTraceId(), 0UL);
+  {
+    FRA_TRACE_SPAN("test.untraced");
+  }
+  EXPECT_EQ(durations.Count(), 0UL);
+
+  // A traced thread observes its span even with the tracer disabled; the
+  // ring still records nothing.
+  {
+    ScopedTraceId scoped(NewTraceId());
+    FRA_TRACE_SPAN("test.untraced");
+  }
+  EXPECT_EQ(durations.Count(), 1UL);
+  EXPECT_TRUE(tracer.AllSpans().empty());
 }
 
 TEST(TraceTest, RingBufferDropsOldestBeyondCapacity) {

@@ -179,7 +179,12 @@ TEST(RobustnessTest, RelevantSiloSamplingSkipsEmptySilos) {
     FRA_CHECK_OK(network->RegisterSilo(static_cast<int>(i),
                                        silos.back().get()));
   }
-  auto provider = ServiceProvider::Create(network.get()).ValueOrDie();
+  // No audits: an audit replays EXACT on every silo, silo 1 included, and
+  // the check below counts silo 1's exchanges.
+  ServiceProvider::Options options;
+  options.audit_sample_rate = 0.0;
+  auto provider =
+      ServiceProvider::Create(network.get(), options).ValueOrDie();
 
   // A query deep in the west: silo 1 holds nothing there. With relevant-
   // silo sampling the estimate never degenerates to rescaling silo 1's
@@ -189,12 +194,22 @@ TEST(RobustnessTest, RelevantSiloSamplingSkipsEmptySilos) {
   const double exact =
       truth.Aggregate(query.range, query.kind).ValueOrDie();
   ASSERT_GT(exact, 100.0);
+  // Every exchange with silo 1 passes its health record; count them.
+  const auto exchanges_with_silo_1 = [&] {
+    for (const auto& silo : provider->health()->Snapshot()) {
+      if (silo.silo_id == 1) return silo.successes + silo.failures;
+    }
+    return uint64_t{0};
+  };
+  const uint64_t before = exchanges_with_silo_1();
   for (int i = 0; i < 30; ++i) {
     const double estimate =
         provider->Execute(query, FraAlgorithm::kNonIidEst).ValueOrDie();
     EXPECT_GT(estimate, 0.3 * exact) << "iteration " << i;
     EXPECT_LT(estimate, 3.0 * exact) << "iteration " << i;
   }
+  // Silo 1 is never a candidate, so it serves none of the 30 queries.
+  EXPECT_EQ(exchanges_with_silo_1(), before);
 }
 
 TEST(RobustnessTest, QueryOutsideAllCoverageIsZero) {

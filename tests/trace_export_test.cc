@@ -62,7 +62,6 @@ TEST(ChromeTraceExportTest, NamesAreJsonEscaped) {
   EXPECT_TRUE(JsonChecker::IsValid(out)) << out;
 }
 
-#if defined(FRA_ENABLE_TRACING) && FRA_ENABLE_TRACING
 TEST(ChromeTraceExportTest, LiveSpansRoundTripThroughTheExport) {
   Tracer& tracer = Tracer::Get();
   tracer.Clear();
@@ -77,7 +76,6 @@ TEST(ChromeTraceExportTest, LiveSpansRoundTripThroughTheExport) {
   EXPECT_TRUE(JsonChecker::IsValid(out)) << out;
   EXPECT_NE(out.find("\"name\": \"test.live_span\""), std::string::npos);
 }
-#endif
 
 }  // namespace
 }  // namespace fra
