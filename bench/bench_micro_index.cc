@@ -1,10 +1,11 @@
 // Micro-benchmarks (google-benchmark) backing the paper's complexity
-// analyses: R-tree build & range aggregation, grid prefix-sum queries,
-// LSR-Forest per-level query cost.
+// analyses: R-tree build & range aggregation, the silo's per-cell
+// descent, grid prefix-sum queries, LSR-Forest per-level query cost.
 
 #include <benchmark/benchmark.h>
 
 #include "core/lsr_forest.h"
+#include "data/generator.h"
 #include "index/equi_depth_histogram.h"
 #include "index/grid_index.h"
 #include "index/rtree.h"
@@ -65,6 +66,39 @@ void BM_RTreeRangeAggregate(benchmark::State& state) {
 BENCHMARK(BM_RTreeRangeAggregate)
     ->Arg(10000)->Arg(100000)->Arg(1000000)
     ->Unit(benchmark::kMicrosecond);
+
+// A silo's NonIID-est answer (Alg. 3): one per-cell descent answering the
+// boundary cells of a 2 km circle centred on data, over a clustered
+// 250k-object tree built on 1.5 km cells (the paper-default grid length).
+void BM_RTreeRangeAggregateByCell(benchmark::State& state) {
+  MobilityDataOptions data_options;
+  data_options.num_objects = 250000;
+  ObjectSet objects;
+  for (const ObjectSet& part :
+       GenerateMobilityData(data_options).ValueOrDie().company_partitions) {
+    objects.insert(objects.end(), part.begin(), part.end());
+  }
+  const GridIndex::GridSpec spec{data_options.domain, 1.5};
+  const GridIndex grid = GridIndex::Build(objects, spec).ValueOrDie();
+  const RTree tree = RTree::Build(objects, RTree::Options(), spec);
+  Rng rng(7);
+  std::vector<QueryRange> queries;
+  std::vector<CellSlots> slots;
+  for (int q = 0; q < 512; ++q) {
+    queries.push_back(QueryRange::MakeCircle(
+        objects[rng.NextUint64(objects.size())].location, 2.0));
+    slots.emplace_back(grid,
+                       grid.ClassifyRangeCells(queries.back()).boundary_cells);
+  }
+  size_t i = 0;
+  for (auto _ : state) {
+    const size_t q = i++ % queries.size();
+    benchmark::DoNotOptimize(
+        tree.RangeAggregateByCell(queries[q], slots[q]).data());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RTreeRangeAggregateByCell)->Unit(benchmark::kMicrosecond);
 
 void BM_GridIntersectingAggregate(benchmark::State& state) {
   GridIndex::GridSpec spec;

@@ -9,6 +9,22 @@
 namespace fra {
 
 LsrForest LsrForest::Build(const ObjectSet& objects, const Options& options) {
+  return BuildImpl(objects, options, nullptr);
+}
+
+LsrForest LsrForest::Build(const ObjectSet& objects, const Options& options,
+                           const GridIndex::GridSpec& grid) {
+  return BuildImpl(objects, options, &grid);
+}
+
+LsrForest LsrForest::BuildImpl(const ObjectSet& objects,
+                               const Options& options,
+                               const GridIndex::GridSpec* grid) {
+  const auto build_tree = [&](const ObjectSet& level_objects) {
+    return grid != nullptr
+               ? RTree::Build(level_objects, options.rtree, *grid)
+               : RTree::Build(level_objects, options.rtree);
+  };
   LsrForest forest;
   if (objects.empty()) return forest;
 
@@ -21,7 +37,7 @@ LsrForest LsrForest::Build(const ObjectSet& objects, const Options& options) {
 
   Rng rng(options.seed);
   ObjectSet level_objects = objects;  // P^0 = P
-  forest.trees_.push_back(RTree::Build(level_objects, options.rtree));
+  forest.trees_.push_back(build_tree(level_objects));
   for (int level = 1; level <= max_level; ++level) {
     // P^i: keep each object of P^{i-1} with probability 1/2 (Alg. 5).
     ObjectSet sampled;
@@ -30,7 +46,7 @@ LsrForest LsrForest::Build(const ObjectSet& objects, const Options& options) {
       if (rng.NextBernoulli(0.5)) sampled.push_back(o);
     }
     level_objects = std::move(sampled);
-    forest.trees_.push_back(RTree::Build(level_objects, options.rtree));
+    forest.trees_.push_back(build_tree(level_objects));
   }
   return forest;
 }

@@ -43,6 +43,12 @@ class LsrForest {
     return Build(objects, Options());
   }
 
+  /// Alg. 5 with every level built over `grid` (RTree::Build with a
+  /// GridSpec), so AggregateByCellAtLevel walks same-cell runs. A silo
+  /// passes its grid's spec.
+  static LsrForest Build(const ObjectSet& objects, const Options& options,
+                         const GridIndex::GridSpec& grid);
+
   /// Lemma 1 level choice: l = floor(log2(eps^2 * sum0 / (3 ln(2/delta)))),
   /// clamped to [0, max_level]. `sum0` is a rough estimate of the query
   /// result (the aggregation over grid cells intersecting the range).
@@ -64,7 +70,8 @@ class LsrForest {
   /// Per-cell variant of AggregateAtLevel: one RTree::RangeAggregateByCell
   /// descent of T_level answers every slot, each rescaled by 2^level. The
   /// NonIID-est boundary cells of one request (Alg. 3) under LSR. An empty
-  /// forest answers zero summaries.
+  /// forest answers zero summaries; a non-empty one dies unless it was
+  /// built over `slots.grid().spec()`.
   std::vector<AggregateSummary> AggregateByCellAtLevel(
       const QueryRange& range, const CellSlots& slots, int level) const;
 
@@ -85,6 +92,9 @@ class LsrForest {
   size_t MemoryUsage() const;
 
  private:
+  static LsrForest BuildImpl(const ObjectSet& objects, const Options& options,
+                             const GridIndex::GridSpec* grid);
+
   std::vector<RTree> trees_;
 };
 

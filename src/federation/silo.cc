@@ -54,7 +54,7 @@ Result<std::unique_ptr<Silo>> Silo::Create(int id, ObjectSet objects,
   lsr_options.rtree = options.rtree;
   lsr_options.seed = options.lsr_seed ^ (static_cast<uint64_t>(id) << 32);
   lsr_options.max_levels = options.build_lsr ? -1 : 1;
-  silo->lsr_ = LsrForest::Build(objects, lsr_options);
+  silo->lsr_ = LsrForest::Build(objects, lsr_options, options.grid_spec);
 
   if (options.build_histogram) {
     EquiDepthHistogram::Options hist_options;
@@ -137,7 +137,7 @@ void Silo::CompactLocked() {
   lsr_options.seed = lsr_seed_ ^ (static_cast<uint64_t>(id_) << 32) ^
                      (compactions_ * 0x9E3779B97F4A7C15ULL);
   lsr_options.max_levels = build_lsr_ ? -1 : 1;
-  lsr_ = LsrForest::Build(merged, lsr_options);
+  lsr_ = LsrForest::Build(merged, lsr_options, grid_.spec());
 
   if (has_histogram_) {
     EquiDepthHistogram::Options hist_options;

@@ -88,9 +88,17 @@ class GridIndex {
   /// (RTree::RangeAggregateByCell). Monotone in x and in y, so the cells
   /// of a rectangle's corners bound the cells of every point inside it.
   RowCol RowColOf(const Point& p) const {
+    return RowColOf(spec_, rows_, cols_, p);
+  }
+
+  /// RowColOf on a grid of `spec`, which has `rows` = spec.Rows() and
+  /// `cols` = spec.Cols(), for a caller that holds a spec and no grid:
+  /// the R-tree sorts its leaves by cell at build time.
+  static RowCol RowColOf(const GridSpec& spec, size_t rows, size_t cols,
+                         const Point& p) {
     return RowCol{
-        FloorClamped((p.y - spec_.domain.min.y) / spec_.cell_length, rows_),
-        FloorClamped((p.x - spec_.domain.min.x) / spec_.cell_length, cols_)};
+        FloorClamped((p.y - spec.domain.min.y) / spec.cell_length, rows),
+        FloorClamped((p.x - spec.domain.min.x) / spec.cell_length, cols)};
   }
 
   /// Id of the cell RowColOf(`p`) names.

@@ -1,6 +1,7 @@
 #include "index/rtree.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <numeric>
 
@@ -36,23 +37,81 @@ std::vector<uint32_t> StrOrder(const std::vector<Point>& centers,
   return order;
 }
 
+// Orders each leaf's indices in `order` (consecutive runs of `chunk`) by
+// the cell of `grid` its center is in, keeping STR order within a cell,
+// and sets bit i of `run_starts` when position i starts a same-cell run
+// of its leaf.
+void SortLeavesByCell(const std::vector<Point>& centers, size_t chunk,
+                      const GridIndex::GridSpec& grid,
+                      std::vector<uint32_t>* order,
+                      std::vector<uint64_t>* run_starts) {
+  const size_t rows = grid.Rows();
+  const size_t cols = grid.Cols();
+  const size_t n = order->size();
+  run_starts->assign((n + 63) / 64, 0);
+  std::vector<size_t> cells;
+  for (size_t begin = 0; begin < n; begin += chunk) {
+    uint32_t* const leaf = order->data() + begin;
+    const size_t size = std::min(n, begin + chunk) - begin;
+    cells.clear();
+    for (size_t k = 0; k < size; ++k) {
+      const GridIndex::RowCol cell =
+          GridIndex::RowColOf(grid, rows, cols, centers[leaf[k]]);
+      cells.push_back(cell.row * cols + cell.col);
+    }
+    // A stable insertion sort: STR orders a leaf by y (unless the tree is
+    // one leaf), so its cells ascend by row already and few indices move.
+    for (size_t k = 1; k < size; ++k) {
+      const size_t key = cells[k];
+      const uint32_t index = leaf[k];
+      size_t j = k;
+      for (; j > 0 && cells[j - 1] > key; --j) {
+        cells[j] = cells[j - 1];
+        leaf[j] = leaf[j - 1];
+      }
+      cells[j] = key;
+      leaf[j] = index;
+    }
+    for (size_t k = 0; k < size; ++k) {
+      if (k == 0 || cells[k] != cells[k - 1]) {
+        (*run_starts)[(begin + k) / 64] |= uint64_t{1} << ((begin + k) % 64);
+      }
+    }
+  }
+}
+
 }  // namespace
 
 RTree RTree::Build(ObjectSet objects, const Options& options) {
+  return BuildImpl(std::move(objects), options, nullptr);
+}
+
+RTree RTree::Build(ObjectSet objects, const Options& options,
+                   const GridIndex::GridSpec& grid) {
+  return BuildImpl(std::move(objects), options, &grid);
+}
+
+RTree RTree::BuildImpl(ObjectSet objects, const Options& options,
+                       const GridIndex::GridSpec* grid) {
   FRA_CHECK_GT(options.leaf_capacity, 0);
   FRA_CHECK_GT(options.fanout, 1);
 
   RTree tree;
+  if (grid != nullptr) tree.grid_ = *grid;
   if (objects.empty()) return tree;
 
-  // Leaf level: STR-order the objects, then pack consecutive runs.
+  // Leaf level: STR-order the objects, then pack consecutive runs. Over a
+  // grid, each leaf is then ordered by cell.
+  const size_t leaf_cap = static_cast<size_t>(options.leaf_capacity);
   {
     std::vector<Point> centers(objects.size());
     for (size_t i = 0; i < objects.size(); ++i) {
       centers[i] = objects[i].location;
     }
-    const std::vector<uint32_t> order =
-        StrOrder(centers, static_cast<size_t>(options.leaf_capacity));
+    std::vector<uint32_t> order = StrOrder(centers, leaf_cap);
+    if (grid != nullptr) {
+      SortLeavesByCell(centers, leaf_cap, *grid, &order, &tree.run_starts_);
+    }
     ObjectSet sorted;
     sorted.reserve(objects.size());
     for (uint32_t idx : order) sorted.push_back(objects[idx]);
@@ -60,7 +119,6 @@ RTree RTree::Build(ObjectSet objects, const Options& options) {
   }
 
   const size_t n = tree.objects_.size();
-  const size_t leaf_cap = static_cast<size_t>(options.leaf_capacity);
   std::vector<Node> current;
   current.reserve((n + leaf_cap - 1) / leaf_cap);
   for (size_t begin = 0; begin < n; begin += leaf_cap) {
@@ -142,10 +200,12 @@ void RTree::AggregateNode(uint32_t node_index, const QueryRange& range,
     return;
   }
   if (node.level == 0) {
+    if (stats != nullptr) stats->objects_tested += node.end - node.begin;
+    AggregateSummary part;
     for (uint32_t i = node.begin; i < node.end; ++i) {
-      if (stats != nullptr) ++stats->objects_tested;
-      if (range.Contains(objects_[i].location)) acc->Add(objects_[i]);
+      if (range.Contains(objects_[i].location)) part.Add(objects_[i]);
     }
+    acc->Merge(part);
     return;
   }
   for (uint32_t child = node.begin; child < node.end; ++child) {
@@ -155,6 +215,8 @@ void RTree::AggregateNode(uint32_t node_index, const QueryRange& range,
 
 std::vector<AggregateSummary> RTree::RangeAggregateByCell(
     const QueryRange& range, const CellSlots& slots) const {
+  FRA_CHECK(grid_.has_value() && *grid_ == slots.grid().spec())
+      << "per-cell aggregation needs a tree built over the slots' grid";
   std::vector<AggregateSummary> out(slots.size());
   if (!nodes_.empty()) AggregateNodeByCell(root_, range, slots, out.data());
   return out;
@@ -177,18 +239,38 @@ void RTree::AggregateNodeByCell(uint32_t node_index, const QueryRange& range,
     return;
   }
   if (node.level == 0) {
+    // The leaf is sorted into same-cell runs: a run's first object names
+    // its slot.
     const bool inside = range.Contains(node.mbr);
-    for (uint32_t i = node.begin; i < node.end; ++i) {
-      const Point& p = objects_[i].location;
-      if (!inside && !range.Contains(p)) continue;
-      const int slot = slots.SlotOf(p);
-      if (slot >= 0) out[slot].Add(objects_[i]);
+    for (uint32_t start = node.begin; start < node.end;) {
+      const uint32_t stop = RunEnd(start, node.end);
+      const int slot = slots.SlotOf(objects_[start].location);
+      if (slot >= 0) {
+        AggregateSummary run;
+        for (uint32_t i = start; i < stop; ++i) {
+          if (inside || range.Contains(objects_[i].location)) {
+            run.Add(objects_[i]);
+          }
+        }
+        out[slot].Merge(run);
+      }
+      start = stop;
     }
     return;
   }
   for (uint32_t child = node.begin; child < node.end; ++child) {
     AggregateNodeByCell(child, range, slots, out);
   }
+}
+
+uint32_t RTree::RunEnd(uint32_t start, uint32_t end) const {
+  for (uint32_t i = start + 1; i < end; i = (i | 63) + 1) {
+    const uint64_t word = run_starts_[i / 64] >> (i % 64);
+    if (word != 0) {
+      return std::min(end, i + static_cast<uint32_t>(std::countr_zero(word)));
+    }
+  }
+  return end;
 }
 
 void RTree::CollectInRange(const QueryRange& range,
@@ -227,7 +309,8 @@ Rect RTree::bounds() const {
 
 size_t RTree::MemoryUsage() const {
   return objects_.capacity() * sizeof(SpatialObject) +
-         nodes_.capacity() * sizeof(Node);
+         nodes_.capacity() * sizeof(Node) +
+         run_starts_.capacity() * sizeof(uint64_t);
 }
 
 }  // namespace fra

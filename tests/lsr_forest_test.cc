@@ -15,7 +15,9 @@ namespace {
 const Rect kDomain{{0, 0}, {100, 100}};
 
 TEST(LsrForestTest, EmptyForest) {
-  const LsrForest forest = LsrForest::Build({});
+  const GridIndex grid = GridIndex::Build({}, {kDomain, 10.0}).ValueOrDie();
+  const LsrForest forest =
+      LsrForest::Build({}, LsrForest::Options(), grid.spec());
   EXPECT_EQ(forest.num_levels(), 0);
   EXPECT_EQ(forest.size(), 0UL);
   EXPECT_TRUE(forest
@@ -23,7 +25,6 @@ TEST(LsrForestTest, EmptyForest) {
                       QueryRange::MakeCircle({0, 0}, 1), 0.1, 0.01, 0.0)
                   .empty());
   // Per-cell answers on an empty forest: one zero summary per slot.
-  const GridIndex grid = GridIndex::Build({}, {kDomain, 10.0}).ValueOrDie();
   const std::vector<AggregateSummary> cells = forest.AggregateByCellAtLevel(
       QueryRange::MakeCircle({0, 0}, 1), CellSlots(grid, {0, 1}), 3);
   ASSERT_EQ(cells.size(), 2UL);
@@ -207,9 +208,10 @@ TEST(LsrForestTest, PerCellAggregateAtLevelMatchesScaledPredicate) {
   ObjectSet objects = testing::RandomObjects(20000, kDomain, 13);
   const ObjectSet lattice = testing::LatticeObjects(kDomain, 1.25);
   objects.insert(objects.end(), lattice.begin(), lattice.end());
-  const LsrForest forest = LsrForest::Build(objects);
   const GridIndex grid =
       GridIndex::Build(objects, {kDomain, 2.5}).ValueOrDie();
+  const LsrForest forest =
+      LsrForest::Build(objects, LsrForest::Options(), grid.spec());
   Rng rng(17);
   for (int q = 0; q < 12; ++q) {
     const QueryRange range =

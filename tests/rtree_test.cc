@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <ostream>
+#include <tuple>
 
 #include "index/grid_index.h"
 #include "tests/test_util.h"
@@ -79,16 +81,27 @@ struct RTreeParam {
   bool circle_queries;
 };
 
+// ctest's test discovery names each case "<test>/<printed parameter>".
+// Without a PrintTo, gtest prints a byte dump of the struct, padding
+// included, so the names changed from build to build. A name generator
+// does not help: discovery keeps the dump after a generated name.
+void PrintTo(const RTreeParam& p, std::ostream* os) {
+  *os << "n" << p.num_objects << "_leaf" << p.leaf_capacity << "_fan"
+      << p.fanout << (p.circle_queries ? "_circle" : "_rect");
+}
+
 class RTreePropertyTest : public ::testing::TestWithParam<RTreeParam> {};
 
 TEST_P(RTreePropertyTest, MatchesBruteForceOnRandomWorkload) {
   const RTreeParam param = GetParam();
   const ObjectSet objects =
       testing::ClusteredObjects(param.num_objects, kDomain, 5, 42);
+  const GridIndex grid =
+      GridIndex::Build(objects, {kDomain, 5.0}).ValueOrDie();
   RTree::Options options;
   options.leaf_capacity = param.leaf_capacity;
   options.fanout = param.fanout;
-  const RTree tree = RTree::Build(objects, options);
+  const RTree tree = RTree::Build(objects, options, grid.spec());
   ASSERT_EQ(tree.size(), param.num_objects);
 
   Rng rng(7);
@@ -105,6 +118,19 @@ TEST_P(RTreePropertyTest, MatchesBruteForceOnRandomWorkload) {
       EXPECT_DOUBLE_EQ(actual.min, expected.min) << "query " << q;
       EXPECT_DOUBLE_EQ(actual.max, expected.max) << "query " << q;
     }
+
+    // The boundary cells' answers, from the walk over same-cell runs.
+    const std::vector<uint32_t> boundary =
+        grid.ClassifyRangeCells(range).boundary_cells;
+    const std::vector<AggregateSummary> answers =
+        tree.RangeAggregateByCell(range, CellSlots(grid, boundary));
+    ASSERT_EQ(answers.size(), boundary.size());
+    for (size_t i = 0; i < boundary.size(); ++i) {
+      const AggregateSummary cell_expected =
+          testing::CellReference(objects, grid, boundary[i], range);
+      EXPECT_EQ(answers[i].count, cell_expected.count) << "query " << q;
+      EXPECT_NEAR(answers[i].sum, cell_expected.sum, 1e-9) << "query " << q;
+    }
   }
 }
 
@@ -118,7 +144,11 @@ INSTANTIATE_TEST_SUITE_P(
                       RTreeParam{5000, 64, 16, false},
                       RTreeParam{333, 1, 2, true},     // degenerate fanout
                       RTreeParam{4096, 64, 16, true},  // exact power of two
-                      RTreeParam{65, 64, 16, false})); // one over a leaf
+                      RTreeParam{65, 64, 16, false},   // one over a leaf
+                      // Leaves across and wider than a 64-bit word of
+                      // run bits.
+                      RTreeParam{3000, 24, 8, true},
+                      RTreeParam{3000, 100, 4, false}));
 
 // Circles, rectangles and rectangles along grid lines, in turn.
 QueryRange PerCellRange(int q, const GridIndex::GridSpec& spec, Rng* rng) {
@@ -135,7 +165,7 @@ TEST(RTreeTest, PerCellAggregateMatchesCellOfPredicate) {
       GridIndex::Build(objects, {kDomain, 2.5}).ValueOrDie();
   for (const RTree::Options& options :
        {RTree::Options{}, RTree::Options{4, 3}}) {
-    const RTree tree = RTree::Build(objects, options);
+    const RTree tree = RTree::Build(objects, options, grid.spec());
     Rng rng(11);
     for (int q = 0; q < 60; ++q) {
       const QueryRange range = PerCellRange(q, grid.spec(), &rng);
@@ -175,9 +205,9 @@ TEST(RTreeTest, PerCellAggregateMatchesCellOfPredicate) {
 
 TEST(RTreeTest, PerCellAggregateIgnoresCellsOutsideTheRange) {
   const ObjectSet objects = testing::RandomObjects(2000, kDomain, 4);
-  const RTree tree = RTree::Build(objects);
   const GridIndex grid =
       GridIndex::Build(objects, {kDomain, 2.5}).ValueOrDie();
+  const RTree tree = RTree::Build(objects, RTree::Options(), grid.spec());
   const QueryRange range = QueryRange::MakeCircle({20, 20}, 6);
   // Slots for cells far from the range stay empty; no slots, no answers.
   const std::vector<uint32_t> far = {
@@ -188,10 +218,71 @@ TEST(RTreeTest, PerCellAggregateIgnoresCellsOutsideTheRange) {
     EXPECT_TRUE(answer.empty());
   }
   EXPECT_TRUE(tree.RangeAggregateByCell(range, CellSlots(grid, {})).empty());
-  EXPECT_EQ(RTree::Build({})
+  EXPECT_EQ(RTree::Build({}, RTree::Options(), grid.spec())
                 .RangeAggregateByCell(range, CellSlots(grid, far))
                 .size(),
             far.size());
+}
+
+TEST(RTreeDeathTest, PerCellAggregateNeedsTheTreesGrid) {
+  const ObjectSet objects = testing::RandomObjects(500, kDomain, 6);
+  const GridIndex grid =
+      GridIndex::Build(objects, {kDomain, 2.5}).ValueOrDie();
+  const GridIndex coarser =
+      GridIndex::Build(objects, {kDomain, 5.0}).ValueOrDie();
+  const QueryRange range = QueryRange::MakeCircle({50, 50}, 10);
+  const RTree tree = RTree::Build(objects, RTree::Options(), grid.spec());
+  EXPECT_DEATH(tree.RangeAggregateByCell(range, CellSlots(coarser, {0})),
+               "slots' grid");
+  EXPECT_DEATH(
+      RTree::Build(objects).RangeAggregateByCell(range, CellSlots(grid, {0})),
+      "slots' grid");
+}
+
+TEST(RTreeTest, GridBuildAnswersAsThePlainTree) {
+  // Sorting leaves by cell moves objects only within their leaf: range
+  // answers, traversal work and the collected objects stay the plain
+  // tree's.
+  ObjectSet objects = testing::ClusteredObjects(4000, kDomain, 4, 21);
+  const ObjectSet lattice = testing::LatticeObjects(kDomain, 2.5);
+  objects.insert(objects.end(), lattice.begin(), lattice.end());
+  const GridIndex::GridSpec spec{kDomain, 2.5};
+  for (const RTree::Options& options :
+       {RTree::Options{}, RTree::Options{4, 3}}) {
+    const RTree plain = RTree::Build(objects, options);
+    const RTree gridded = RTree::Build(objects, options, spec);
+    ASSERT_EQ(gridded.size(), plain.size());
+    EXPECT_EQ(gridded.height(), plain.height());
+    EXPECT_EQ(gridded.total(), plain.total());
+    // The run bits are the only extra memory.
+    EXPECT_GT(gridded.MemoryUsage(), plain.MemoryUsage());
+    EXPECT_LE(gridded.MemoryUsage() - plain.MemoryUsage(),
+              objects.size() / 8 + sizeof(uint64_t));
+    Rng rng(23);
+    for (int q = 0; q < 45; ++q) {
+      const QueryRange range = PerCellRange(q, spec, &rng);
+      RTree::QueryStats plain_stats;
+      RTree::QueryStats gridded_stats;
+      EXPECT_EQ(gridded.RangeAggregate(range, &gridded_stats),
+                plain.RangeAggregate(range, &plain_stats))
+          << "query " << q;
+      EXPECT_EQ(gridded_stats.nodes_visited, plain_stats.nodes_visited);
+      EXPECT_EQ(gridded_stats.objects_tested, plain_stats.objects_tested);
+      EXPECT_EQ(gridded_stats.subtrees_taken, plain_stats.subtrees_taken);
+
+      std::vector<SpatialObject> from_plain;
+      std::vector<SpatialObject> from_gridded;
+      plain.CollectInRange(range, &from_plain);
+      gridded.CollectInRange(range, &from_gridded);
+      const auto less = [](const SpatialObject& a, const SpatialObject& b) {
+        return std::tuple(a.location.x, a.location.y, a.measure) <
+               std::tuple(b.location.x, b.location.y, b.measure);
+      };
+      std::sort(from_plain.begin(), from_plain.end(), less);
+      std::sort(from_gridded.begin(), from_gridded.end(), less);
+      EXPECT_EQ(from_gridded, from_plain) << "query " << q;
+    }
+  }
 }
 
 TEST(RTreeTest, CollectInRangeReturnsExactlyTheContainedObjects) {

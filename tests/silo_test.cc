@@ -232,6 +232,44 @@ TEST(SiloTest, CellContributionsMatchCellOfPredicateWithIngestDelta) {
   }
 }
 
+TEST(SiloTest, CellContributionsMatchCellOfPredicateAfterCompaction) {
+  ObjectSet objects = testing::RandomObjects(4000, kDomain, 19);
+  const ObjectSet lattice = testing::LatticeObjects(kDomain, 1.0);
+  objects.insert(objects.end(), lattice.begin(), lattice.end());
+  const auto silo = MakeSilo(objects, DefaultOptions());
+  // A batch over the 2% compaction threshold, part of it on cell edges:
+  // the forest is rebuilt over the base plus the batch.
+  ObjectSet batch = testing::RandomObjects(300, kDomain, 20);
+  batch.insert(batch.end(), lattice.begin(), lattice.begin() + 200);
+  silo->Ingest(batch);
+  ASSERT_EQ(silo->pending_ingest(), 0UL);
+  objects.insert(objects.end(), batch.begin(), batch.end());
+  ASSERT_EQ(silo->size(), objects.size());
+
+  const GridIndex& grid = silo->grid();
+  Rng rng(21);
+  for (int q = 0; q < 24; ++q) {
+    const QueryRange range =
+        q % 3 == 2 ? testing::RandomGridAlignedRect(grid.spec(), 8.0, &rng)
+                   : testing::RandomRange(kDomain, 8.0, q % 3 == 0, &rng);
+    const std::vector<uint32_t> boundary_ids =
+        grid.ClassifyRangeCells(range).boundary_cells;
+    // sum0 = 0 picks level 0, so the LSR path answers exactly too.
+    for (bool use_lsr : {false, true}) {
+      const std::vector<CellContribution> got =
+          silo->BoundaryCellContributions(range, use_lsr, 0.1, 0.01, 0.0);
+      ASSERT_EQ(got.size(), boundary_ids.size()) << "query " << q;
+      for (size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].cell_id, boundary_ids[i]);
+        const AggregateSummary expected =
+            testing::CellReference(objects, grid, boundary_ids[i], range);
+        EXPECT_EQ(got[i].summary.count, expected.count) << "query " << q;
+        EXPECT_NEAR(got[i].summary.sum, expected.sum, 1e-9) << "query " << q;
+      }
+    }
+  }
+}
+
 TEST(SiloTest, BoundaryPlusInteriorEqualsExact) {
   const ObjectSet objects = testing::RandomObjects(20000, kDomain, 9);
   const auto silo = MakeSilo(objects, DefaultOptions());
