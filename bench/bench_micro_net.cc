@@ -1,7 +1,8 @@
 // Micro-benchmarks for the network substrate: message codec throughput,
 // grid serialisation, and transport round-trip latency (in-process vs
 // real loopback TCP) — quantifying what the in-process substrate
-// abstracts away.
+// abstracts away — plus the provider's answer-cache hit path, the query
+// that needs no transport at all.
 
 #include <benchmark/benchmark.h>
 
@@ -11,6 +12,7 @@
 #include <string>
 
 #include "bench/bench_json.h"
+#include "federation/federation.h"
 #include "federation/silo.h"
 #include "index/grid_index.h"
 #include "net/message.h"
@@ -197,6 +199,58 @@ void BM_TraceSpanOverhead(benchmark::State& state) {
   Tracer::Get().Clear();
 }
 BENCHMARK(BM_TraceSpanOverhead)->Arg(0)->Arg(1);
+
+// The answer cache's hit path under Alg. 4 (docs/caching.md): a small
+// cache-on federation warmed with 256 rectangles, then one 256-query
+// NonIID-est+LSR ExecuteBatch of those ranges per iteration, every query
+// a hit, on state.range(0) batch workers. `s_per_query` is wall time per
+// query.
+void BM_ProviderCacheHit(benchmark::State& state) {
+  constexpr int kRanges = 256;
+  constexpr FraAlgorithm kAlgorithm = FraAlgorithm::kNonIidEstLsr;
+  Rng rng(11);
+  std::vector<ObjectSet> partitions(4);
+  for (int i = 0; i < 8000; ++i) {
+    partitions[static_cast<size_t>(i) % partitions.size()].push_back(
+        {{rng.NextDouble(0, 40), rng.NextDouble(0, 40)},
+         static_cast<double>(rng.NextInt64(0, 4))});
+  }
+  FederationOptions options;
+  options.silo.grid_spec.domain = Rect{{0, 0}, {40, 40}};
+  options.silo.grid_spec.cell_length = 2.0;
+  options.provider.batch_threads = static_cast<size_t>(state.range(0));
+  options.provider.cache.enabled = true;
+  options.provider.audit_sample_rate = 0.0;  // no background EXACT replays
+  auto federation =
+      Federation::Create(std::move(partitions), options).ValueOrDie();
+  ServiceProvider& provider = federation->provider();
+
+  std::vector<FraQuery> queries;
+  for (int i = 0; i < kRanges; ++i) {
+    const double x = rng.NextDouble(4, 36);
+    const double y = rng.NextDouble(4, 36);
+    const double half = rng.NextDouble(1, 4);
+    queries.push_back({QueryRange::MakeRect({x - half, y - half},
+                                            {x + half, y + half}),
+                       AggregateKind::kCount});
+  }
+  FRA_CHECK_OK(provider.ExecuteBatch(queries, kAlgorithm).status());
+  const uint64_t warm_misses = provider.cache()->exact().counters().misses;
+
+  for (auto _ : state) {
+    Result<std::vector<double>> answers =
+        provider.ExecuteBatch(queries, kAlgorithm);
+    benchmark::DoNotOptimize(answers.ValueOrDie().data());
+  }
+  if (provider.cache()->exact().counters().misses != warm_misses) {
+    state.SkipWithError("a timed query missed the answer cache");
+  }
+  state.counters["s_per_query"] = benchmark::Counter(
+      static_cast<double>(state.iterations()) * kRanges,
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_ProviderCacheHit)->Arg(1)->Arg(4)->UseRealTime()
+    ->Unit(benchmark::kMicrosecond);
 
 // --- Serialization / allocation section (BENCH_micro_net.json) -------------
 //

@@ -11,7 +11,7 @@ AnswerCache::AnswerCache(const Options& options)
       evictions_total_(&MetricsRegistry::Default().GetCounter(
           "fra_cache_evictions_total", {{"layer", "exact"}})) {}
 
-std::optional<double> AnswerCache::Lookup(const std::string& key) {
+std::optional<double> AnswerCache::Lookup(const AnswerKey& key) {
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = entries_.find(key);
   if (it == entries_.end()) {
@@ -25,7 +25,7 @@ std::optional<double> AnswerCache::Lookup(const std::string& key) {
   return it->second->second;
 }
 
-void AnswerCache::Insert(const std::string& key, double value) {
+void AnswerCache::Insert(const AnswerKey& key, double value) {
   if (options_.capacity == 0) return;
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = entries_.find(key);

@@ -1,11 +1,12 @@
 #ifndef FRA_CACHE_ANSWER_CACHE_H_
 #define FRA_CACHE_ANSWER_CACHE_H_
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <list>
 #include <mutex>
 #include <optional>
-#include <string>
 #include <unordered_map>
 #include <utility>
 
@@ -13,8 +14,18 @@
 
 namespace fra {
 
+/// A canonical query key: eight 64-bit words (64 bytes), laid out by
+/// ProviderCache::MakeKey (docs/caching.md, "Key anatomy"). Held by
+/// value, so building, hashing and comparing one allocates nothing.
+struct AnswerKey {
+  std::array<uint64_t, 8> words{};
+
+  bool operator==(const AnswerKey&) const = default;
+};
+
 /// Exact-answer layer of the provider-side cache (docs/caching.md): an
-/// LRU map from a canonical query key to the finalised double answer.
+/// LRU map from an AnswerKey to the finalised double answer, hashed and
+/// compared in place.
 ///
 /// The key (built by ProviderCache::MakeKey) encodes the range, the
 /// aggregate function, the algorithm, (epsilon, delta) and the
@@ -36,10 +47,10 @@ class AnswerCache {
   explicit AnswerCache(const Options& options);
 
   /// Returns the cached answer and refreshes its recency, or nullopt.
-  std::optional<double> Lookup(const std::string& key);
+  std::optional<double> Lookup(const AnswerKey& key);
 
   /// Inserts (or refreshes) one answer, evicting the LRU tail if needed.
-  void Insert(const std::string& key, double value);
+  void Insert(const AnswerKey& key, double value);
 
   /// Drops every entry; returns how many were dropped.
   size_t Clear();
@@ -57,13 +68,25 @@ class AnswerCache {
   const Options& options() const { return options_; }
 
  private:
+  // Mixes every word of the key. Not noexcept, so the map keeps each
+  // node's hash instead of recomputing it while walking a bucket.
+  struct KeyHash {
+    size_t operator()(const AnswerKey& key) const {
+      uint64_t h = 0;
+      for (const uint64_t word : key.words) {
+        h = (h ^ word) * 0x9E3779B97F4A7C15ULL;
+        h ^= h >> 32;
+      }
+      return static_cast<size_t>(h);
+    }
+  };
+  using Lru = std::list<std::pair<AnswerKey, double>>;
+
   const Options options_;
   mutable std::mutex mu_;
   // Front = most recently used.
-  std::list<std::pair<std::string, double>> lru_;
-  std::unordered_map<std::string,
-                     std::list<std::pair<std::string, double>>::iterator>
-      entries_;
+  Lru lru_;
+  std::unordered_map<AnswerKey, Lru::iterator, KeyHash> entries_;
   Counters counters_;
   Counter* hits_total_;
   Counter* misses_total_;

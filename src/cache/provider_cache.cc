@@ -1,6 +1,6 @@
 #include "cache/provider_cache.h"
 
-#include "util/serialize.h"
+#include <bit>
 
 namespace fra {
 
@@ -19,29 +19,29 @@ void ProviderCache::OnDataChanged() {
   exact_invalidations_total_->Increment(exact_.Clear());
 }
 
-std::string ProviderCache::MakeKey(const QueryRange& range, uint8_t kind,
-                                   uint8_t algorithm, double epsilon,
-                                   double delta) const {
-  BinaryWriter writer;
+AnswerKey ProviderCache::MakeKey(const QueryRange& range, uint8_t kind,
+                                 uint8_t algorithm, double epsilon,
+                                 double delta) const {
+  const auto bits = [](double value) { return std::bit_cast<uint64_t>(value); };
+  const uint64_t tag = range.is_circle() ? 1 : 2;
+  AnswerKey key;
+  key.words[0] = tag << 16 | uint64_t{kind} << 8 | algorithm;
   if (range.is_circle()) {
-    writer.WriteU8(1);
-    writer.WriteDouble(range.circle().center.x);
-    writer.WriteDouble(range.circle().center.y);
-    writer.WriteDouble(range.circle().radius);
+    const Circle& circle = range.circle();
+    key.words[1] = bits(circle.center.x);
+    key.words[2] = bits(circle.center.y);
+    key.words[3] = bits(circle.radius);
   } else {
-    writer.WriteU8(2);
-    writer.WriteDouble(range.rect().min.x);
-    writer.WriteDouble(range.rect().min.y);
-    writer.WriteDouble(range.rect().max.x);
-    writer.WriteDouble(range.rect().max.y);
+    const Rect& rect = range.rect();
+    key.words[1] = bits(rect.min.x);
+    key.words[2] = bits(rect.min.y);
+    key.words[3] = bits(rect.max.x);
+    key.words[4] = bits(rect.max.y);
   }
-  writer.WriteU8(kind);
-  writer.WriteU8(algorithm);
-  writer.WriteDouble(epsilon);
-  writer.WriteDouble(delta);
-  writer.WriteU64(epoch());
-  const std::vector<uint8_t> bytes = writer.Release();
-  return std::string(bytes.begin(), bytes.end());
+  key.words[5] = bits(epsilon);
+  key.words[6] = bits(delta);
+  key.words[7] = epoch();
+  return key;
 }
 
 }  // namespace fra

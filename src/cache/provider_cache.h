@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <string>
 
 #include "cache/answer_cache.h"
 #include "geo/range.h"
@@ -44,10 +43,13 @@ class ProviderCache {
   /// `fra_cache_invalidations_total{layer="exact"}`.
   void OnDataChanged();
 
-  /// Canonical key: the range's exact coordinate bits, the aggregate
-  /// function, the algorithm, (epsilon, delta) and the current epoch.
-  std::string MakeKey(const QueryRange& range, uint8_t kind,
-                      uint8_t algorithm, double epsilon, double delta) const;
+  /// Canonical key, built in place: word 0 packs the range tag (1
+  /// circle, 2 rectangle), `kind` and `algorithm`; words 1-4 hold the
+  /// range's coordinate bits (circle: centre x, y, radius, 0; rectangle:
+  /// min x, y, max x, y); words 5-7 hold the bits of epsilon, delta and
+  /// the current epoch.
+  AnswerKey MakeKey(const QueryRange& range, uint8_t kind, uint8_t algorithm,
+                    double epsilon, double delta) const;
 
   AnswerCache& exact() { return exact_; }
   /// The perfbench seam above; always zero.

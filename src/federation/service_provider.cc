@@ -299,7 +299,8 @@ Result<double> ServiceProvider::Execute(const FraQuery& query,
 Result<double> ServiceProvider::ExecuteRecorded(const FraQuery& query,
                                                 FraAlgorithm algorithm,
                                                 uint64_t draw,
-                                                double* seconds) {
+                                                double* seconds,
+                                                double* cpu_mark) {
   QueryRecord record;
   // A fresh trace id for every sampled query once the Tracer is enabled
   // (Options::trace_sample_every_n); otherwise keep whatever context the
@@ -309,12 +310,13 @@ Result<double> ServiceProvider::ExecuteRecorded(const FraQuery& query,
   record.algorithm = FraAlgorithmToString(algorithm);
   record.aggregate = AggregateKindToString(query.kind);
   const Result<double> result = [&] {
-    // The wall time includes opening the scope (one thread-CPU clock
-    // read) and excludes the accounting after the answer.
+    // The wall time includes opening the scope (a thread-CPU clock read
+    // unless `cpu_mark` is given) and excludes closing it and the
+    // accounting after the answer.
     Timer timer;
     // Installs the record and the trace id on this thread (fan-out legs
     // re-install both on theirs); closing it charges this thread's CPU.
-    QueryRecordScope scope(&record, record.trace_id);
+    QueryRecordScope scope(&record, record.trace_id, cpu_mark);
     // Batch this thread's spans (and ingested silo spans) so the whole
     // query takes the tracer's ring lock once at drain time, not once per
     // span — batch workers would otherwise serialize on it.
@@ -348,7 +350,7 @@ Result<double> ServiceProvider::ExecuteCached(const FraQuery& query,
                                               std::string_view* cache) {
   FRA_TRACE_SPAN("provider.execute");
   *cache = cache_ == nullptr ? "off" : "miss";
-  std::string key;
+  AnswerKey key;
   if (cache_ != nullptr) {
     // The data epoch is part of the key, so entries cached before a
     // SyncGrids that observed changes can never be returned afterwards.
@@ -762,11 +764,15 @@ Result<std::vector<double>> ServiceProvider::ExecuteBatch(
   std::atomic<size_t> next_query{0};
   const auto worker = [this, &queries, &results, &statuses, &draws,
                        algorithm, latencies_seconds, &next_query] {
+    // One thread-CPU reading per query: each query's record charges from
+    // the previous query's closing reading.
+    double cpu_mark = ThreadCpuMicros();
     for (size_t i = next_query.fetch_add(1); i < queries.size();
          i = next_query.fetch_add(1)) {
       const Result<double> result = ExecuteRecorded(
           queries[i], algorithm, draws[i],
-          latencies_seconds != nullptr ? &(*latencies_seconds)[i] : nullptr);
+          latencies_seconds != nullptr ? &(*latencies_seconds)[i] : nullptr,
+          &cpu_mark);
       if (result.ok()) {
         results[i] = *result;
       } else {

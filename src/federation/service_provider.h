@@ -267,9 +267,14 @@ class ServiceProvider {
   /// cost, silo outcomes), installs it for the query's duration, and
   /// hands the finished record to every consumer — the query metrics,
   /// the cost ledger, the flight recorder and the audit draw. `*seconds`
-  /// (optional) receives the query's wall-clock duration.
+  /// (optional) receives the query's wall-clock duration. `cpu_mark`
+  /// (optional) is the calling thread's running thread-CPU reading, which
+  /// the query's root QueryRecordScope charges from and advances: an
+  /// ExecuteBatch worker passes one, so each of its queries reads the
+  /// clock once, after its timed span.
   Result<double> ExecuteRecorded(const FraQuery& query, FraAlgorithm algorithm,
-                                 uint64_t draw, double* seconds = nullptr);
+                                 uint64_t draw, double* seconds = nullptr,
+                                 double* cpu_mark = nullptr);
 
   /// Cache-aware body of ExecuteRecorded: cache lookup, then the normal
   /// execution path, then insert. `*cache` receives the record's cache

@@ -17,12 +17,14 @@ namespace {
 thread_local QueryRecordScope* t_current_scope = nullptr;
 }  // namespace
 
-QueryRecordScope::QueryRecordScope(QueryRecord* record, uint64_t trace_id)
+QueryRecordScope::QueryRecordScope(QueryRecord* record, uint64_t trace_id,
+                                   double* cpu_mark)
     : root_(this),
       previous_(t_current_scope),
       record_(record),
       trace_scope_(trace_id),
-      cpu_start_(ThreadCpuMicros()) {
+      cpu_mark_(cpu_mark),
+      cpu_start_(cpu_mark != nullptr ? *cpu_mark : ThreadCpuMicros()) {
   t_current_scope = this;
 }
 
@@ -32,13 +34,16 @@ QueryRecordScope::QueryRecordScope(const QueryRecordScope* parent,
       previous_(t_current_scope),
       record_(nullptr),
       trace_scope_(trace_id),
+      cpu_mark_(nullptr),
       cpu_start_(root_ != nullptr ? ThreadCpuMicros() : 0.0) {
   t_current_scope = root_ != nullptr ? this : nullptr;
 }
 
 QueryRecordScope::~QueryRecordScope() {
   if (root_ != nullptr) {
-    const double micros = ThreadCpuMicros() - cpu_start_;
+    const double now = ThreadCpuMicros();
+    if (cpu_mark_ != nullptr) *cpu_mark_ = now;
+    const double micros = now - cpu_start_;
     if (micros > 0.0) {
       std::lock_guard<std::mutex> lock(root_->mu_);
       root_->record_->cost.cpu_micros += micros;

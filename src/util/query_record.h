@@ -20,7 +20,10 @@ namespace fra {
 ///                     thread that worked on the query (the Execute
 ///                     thread plus each fan-out leg; in-process silo
 ///                     handlers run on those same threads, so their CPU
-///                     is attributed too).
+///                     is attributed too). A batch worker's query is
+///                     charged from the previous query's close, so it
+///                     also carries that query's bookkeeping
+///                     (QueryRecordScope's `cpu_mark`).
 ///   bytes_to_silos    encoded request payload bytes shipped to silos.
 ///   bytes_from_silos  response payload bytes received back.
 ///   silo_rpcs         data-plane exchanges (a coalesced entry counts as
@@ -77,10 +80,19 @@ struct QueryRecord {
 /// from the flushing thread). Every scope of a query writes its record
 /// under the root scope's lock; the record is read once the root has
 /// closed. Scopes nest: each restores the previous scope and trace id.
+///
+/// CLOCK_THREAD_CPUTIME_ID is a system call: a leg, and a root without a
+/// mark, read it on opening and on closing; a root handed a mark reads it
+/// once, on closing.
 class QueryRecordScope {
  public:
-  /// The query's root scope: installs `record` on this thread.
-  QueryRecordScope(QueryRecord* record, uint64_t trace_id);
+  /// The query's root scope: installs `record` on this thread. A non-null
+  /// `cpu_mark` holds this thread's last ThreadCpuMicros() reading: the
+  /// charge starts from it, and closing stores its reading back, so a
+  /// thread running queries back to back (an ExecuteBatch worker) charges
+  /// each from the previous one's close.
+  QueryRecordScope(QueryRecord* record, uint64_t trace_id,
+                   double* cpu_mark = nullptr);
   /// A fan-out leg's scope: re-installs the query of `parent` (the
   /// caller's Current()) on this thread. A null `parent` installs no
   /// record — background audits run that way — and measures nothing.
@@ -103,6 +115,7 @@ class QueryRecordScope {
   QueryRecord* const record_;  // the query's record (root only)
   std::mutex mu_;              // root only: guards *record_ while open
   ScopedTraceId trace_scope_;
+  double* const cpu_mark_;  // root only: receives the closing reading
   double cpu_start_ = 0.0;
 };
 

@@ -58,18 +58,25 @@ uint64_t ExactInvalidations() {
 
 // --- Standalone cache -----------------------------------------------------
 
+// A distinct key per name, for the standalone LRU cases.
+AnswerKey Key(char name) {
+  AnswerKey key;
+  key.words[0] = static_cast<uint64_t>(name);
+  return key;
+}
+
 TEST(AnswerCacheTest, HitMissAndLruEviction) {
   AnswerCache::Options options;
   options.capacity = 2;
   AnswerCache cache(options);
-  EXPECT_FALSE(cache.Lookup("a").has_value());
-  cache.Insert("a", 1.0);
-  cache.Insert("b", 2.0);
-  EXPECT_EQ(cache.Lookup("a").value(), 1.0);  // touches "a": "b" is LRU now
-  cache.Insert("c", 3.0);                     // evicts "b"
-  EXPECT_FALSE(cache.Lookup("b").has_value());
-  EXPECT_EQ(cache.Lookup("a").value(), 1.0);
-  EXPECT_EQ(cache.Lookup("c").value(), 3.0);
+  EXPECT_FALSE(cache.Lookup(Key('a')).has_value());
+  cache.Insert(Key('a'), 1.0);
+  cache.Insert(Key('b'), 2.0);
+  EXPECT_EQ(cache.Lookup(Key('a')).value(), 1.0);  // touches "a": "b" is LRU
+  cache.Insert(Key('c'), 3.0);                     // evicts "b"
+  EXPECT_FALSE(cache.Lookup(Key('b')).has_value());
+  EXPECT_EQ(cache.Lookup(Key('a')).value(), 1.0);
+  EXPECT_EQ(cache.Lookup(Key('c')).value(), 3.0);
   const AnswerCache::Counters counters = cache.counters();
   EXPECT_EQ(counters.hits, 3UL);
   EXPECT_EQ(counters.misses, 2UL);  // "a" cold, "b" after eviction
@@ -77,13 +84,13 @@ TEST(AnswerCacheTest, HitMissAndLruEviction) {
   EXPECT_EQ(cache.size(), 2UL);
   EXPECT_EQ(cache.Clear(), 2UL);
   EXPECT_EQ(cache.size(), 0UL);
-  EXPECT_FALSE(cache.Lookup("a").has_value());
+  EXPECT_FALSE(cache.Lookup(Key('a')).has_value());
 }
 
 TEST(ProviderCacheTest, KeyDependsOnEveryComponent) {
   ProviderCache cache(AnswerCache::Options{});
   const QueryRange range = QueryRange::MakeRect({1, 1}, {3, 3});
-  const std::string base = cache.MakeKey(range, 0, 0, 0.1, 0.01);
+  const AnswerKey base = cache.MakeKey(range, 0, 0, 0.1, 0.01);
   EXPECT_EQ(base, cache.MakeKey(range, 0, 0, 0.1, 0.01));
   EXPECT_NE(base, cache.MakeKey(range, 1, 0, 0.1, 0.01));  // kind
   EXPECT_NE(base, cache.MakeKey(range, 0, 1, 0.1, 0.01));  // algorithm
@@ -92,6 +99,11 @@ TEST(ProviderCacheTest, KeyDependsOnEveryComponent) {
   EXPECT_NE(base,
             cache.MakeKey(QueryRange::MakeRect({1, 1}, {3.5, 3}), 0, 0, 0.1,
                           0.01));  // geometry
+  // Range shape: the flat rectangle's words 1-4 (0, 0, 3, 0) equal the
+  // circle's (centre 0, 0, radius 3, then 0), so only the tag differs.
+  EXPECT_NE(cache.MakeKey(QueryRange::MakeCircle({0, 0}, 3), 0, 0, 0.1, 0.01),
+            cache.MakeKey(QueryRange::MakeRect({0, 0}, {3, 0}), 0, 0, 0.1,
+                          0.01));
   cache.OnDataChanged();
   EXPECT_EQ(cache.epoch(), 1UL);
   EXPECT_NE(base, cache.MakeKey(range, 0, 0, 0.1, 0.01));  // epoch

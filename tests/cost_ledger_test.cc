@@ -18,12 +18,22 @@
 #include "obs/flight_recorder.h"
 #include "tests/test_util.h"
 #include "util/query_record.h"
+#include "util/random.h"
 #include "util/trace.h"
 
 namespace fra {
 namespace {
 
 const Rect kDomain{{0, 0}, {40, 40}};
+
+// Burns at least `micros` of this thread's CPU.
+void BurnThreadCpu(double micros) {
+  volatile double sink = 0.0;
+  const double start = ThreadCpuMicros();
+  while (ThreadCpuMicros() - start < micros) {
+    for (int i = 0; i < 10000; ++i) sink = sink + static_cast<double>(i);
+  }
+}
 
 TEST(QueryRecordTest, InstallsAsAThreadLocalStack) {
   EXPECT_EQ(QueryRecordScope::Current(), nullptr);
@@ -78,14 +88,22 @@ TEST(QueryRecordTest, ScopeAttributesThreadCpu) {
     std::thread([&root] {
       QueryRecordScope leg(&root, /*trace_id=*/0);
       // Burn a measurable amount of this thread's CPU inside the scope.
-      volatile double sink = 0.0;
-      const double start = ThreadCpuMicros();
-      while (ThreadCpuMicros() - start < 2000.0) {
-        for (int i = 0; i < 10000; ++i) sink = sink + static_cast<double>(i);
-      }
+      BurnThreadCpu(2000.0);
     }).join();
   }
   EXPECT_GE(record.cost.cpu_micros, 2000.0);
+}
+
+// A root scope handed a mark charges from the mark, not from its own
+// opening, and leaves its closing reading in the mark for the next query.
+TEST(QueryRecordTest, RootScopeChargesFromTheCallersMark) {
+  double mark = ThreadCpuMicros();
+  const double taken = mark;
+  BurnThreadCpu(2000.0);  // before the scope opens
+  QueryRecord record;
+  { QueryRecordScope root(&record, /*trace_id=*/0, &mark); }
+  EXPECT_GE(record.cost.cpu_micros, 2000.0);
+  EXPECT_GE(mark - taken, 2000.0);
 }
 
 TEST(ThreadCpuMicrosTest, AdvancesWithWorkOnly) {
@@ -190,6 +208,64 @@ TEST(QueryCostLedgerTest, FederationQueryCostMatchesWireTruth) {
   ASSERT_EQ(again.size(), 1UL);
   EXPECT_EQ(again[0].queries, 2UL);
   EXPECT_EQ(again[0].silo_rpcs, 4UL);
+}
+
+// ExecuteBatch workers read the thread-CPU clock once per query; every
+// query, hit or miss, must still be charged its CPU.
+TEST(QueryCostLedgerTest, BatchQueriesChargeCpuToEveryRow) {
+  Silo::Options silo_options;
+  silo_options.grid_spec.domain = kDomain;
+  silo_options.grid_spec.cell_length = 2.0;
+  std::vector<std::unique_ptr<Silo>> silos;
+  InProcessNetwork network;
+  for (int s = 0; s < 2; ++s) {
+    silos.push_back(
+        Silo::Create(s, testing::RandomObjects(1200, kDomain, 41 + s),
+                     silo_options)
+            .ValueOrDie());
+    ASSERT_TRUE(network.RegisterSilo(s, silos.back().get()).ok());
+  }
+  ServiceProvider::Options options;
+  options.audit_sample_rate = 0.0;
+  options.cache.enabled = true;
+  options.flight_recorder.capacity = 128;
+  options.flight_recorder.slow_threshold_micros = 0.0;  // capture all
+  auto provider = ServiceProvider::Create(&network, options).ValueOrDie();
+
+  Rng rng(5);
+  std::vector<FraQuery> queries;
+  for (int i = 0; i < 64; ++i) {
+    queries.push_back({testing::RandomRange(kDomain, 6.0, true, &rng),
+                       AggregateKind::kCount});
+  }
+  // Distinct ranges: the first batch misses on every query, the second
+  // hits on every one.
+  for (int round = 0; round < 2; ++round) {
+    ASSERT_TRUE(
+        provider->ExecuteBatch(queries, FraAlgorithm::kNonIidEstLsr).ok());
+  }
+
+  const std::vector<QueryCostLedger::Rollup> rollups =
+      provider->cost_ledger()->Snapshot();
+  ASSERT_EQ(rollups.size(), 2UL);
+  const QueryCostLedger::Rollup& hit = rollups[0];  // sorted by cache label
+  const QueryCostLedger::Rollup& miss = rollups[1];
+  EXPECT_EQ(hit.cache, "hit");
+  EXPECT_EQ(miss.cache, "miss");
+  for (const QueryCostLedger::Rollup* row : {&hit, &miss}) {
+    EXPECT_EQ(row->queries, 64UL);
+    EXPECT_EQ(row->failures, 0UL);
+    EXPECT_GT(row->cpu_micros, 0.0);
+  }
+  EXPECT_EQ(hit.silo_rpcs, 0UL);
+  EXPECT_GT(miss.silo_rpcs, 0UL);
+  // Query by query: the flight recorder kept all 128 records.
+  const std::vector<FlightRecorder::Record> records =
+      provider->flight_recorder()->Snapshot();
+  ASSERT_EQ(records.size(), 128UL);
+  for (const FlightRecorder::Record& record : records) {
+    EXPECT_GT(record.cost.cpu_micros, 0.0) << record.cache;
+  }
 }
 
 TEST(QueryCostLedgerTest, FlightRecordCarriesTheQueryCost) {

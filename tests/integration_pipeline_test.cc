@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <ostream>
 
 #include "baseline/brute_force.h"
 #include "data/generator.h"
@@ -24,13 +25,14 @@ struct PipelineParam {
   bool non_iid;
 };
 
-std::string ParamName(const ::testing::TestParamInfo<PipelineParam>& info) {
-  const PipelineParam& p = info.param;
-  std::string name = "m" + std::to_string(p.num_silos) + "_L" +
-                     std::to_string(static_cast<int>(p.grid_length * 10)) +
-                     (p.rect_ranges ? "_rect" : "_circle") +
-                     (p.non_iid ? "_noniid" : "_iid");
-  return name;
+// ctest's test discovery names each case "<test>/<printed parameter>".
+// Without a PrintTo, gtest prints a byte dump of the struct whose padding
+// bytes differ from build to build; a name generator does not help, as
+// discovery keeps the dump after a generated name.
+void PrintTo(const PipelineParam& p, std::ostream* os) {
+  *os << "m" << p.num_silos << "_L" << static_cast<int>(p.grid_length * 10)
+      << (p.rect_ranges ? "_rect" : "_circle")
+      << (p.non_iid ? "_noniid" : "_iid");
 }
 
 // One generated corpus per regime, shared across all instances.
@@ -121,8 +123,7 @@ INSTANTIATE_TEST_SUITE_P(
                       PipelineParam{6, 0.5, false, true},
                       PipelineParam{12, 1.0, false, true},
                       PipelineParam{12, 2.5, true, true},
-                      PipelineParam{15, 1.0, false, false}),
-    ParamName);
+                      PipelineParam{15, 1.0, false, false}));
 
 }  // namespace
 }  // namespace fra
