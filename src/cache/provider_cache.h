@@ -23,12 +23,12 @@ struct TileCache {
   Counters counters() const { return {}; }
 };
 
-/// The provider-side answer cache (docs/caching.md): the exact-answer LRU
-/// plus the data epoch that ties it to the dynamic-update path.
+/// The provider-side answer cache (docs/caching.md): the exact-answer
+/// table plus the data epoch that ties it to the dynamic-update path.
 ///
 /// The epoch starts at 0 and bumps once per SyncGrids round that applied
 /// any silo delta. It is part of every key, so answers cached before an
-/// update can never be returned after it; the bump also clears the LRU,
+/// update can never be returned after it; the bump also clears the table,
 /// so those entries stop holding slots. `fra_provider_data_epoch`
 /// exports the current value.
 class ProviderCache {

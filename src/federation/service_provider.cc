@@ -292,13 +292,15 @@ uint64_t ServiceProvider::SampledTraceId() {
 
 Result<double> ServiceProvider::Execute(const FraQuery& query,
                                         FraAlgorithm algorithm) {
-  return ExecuteRecorded(query, algorithm,
-                         IsSingleSilo(algorithm) ? NextDraw() : 0);
+  return ExecuteRecorded(
+      query, algorithm, IsSingleSilo(algorithm) ? NextDraw() : 0,
+      next_audit_ticket_.fetch_add(1, std::memory_order_relaxed));
 }
 
 Result<double> ServiceProvider::ExecuteRecorded(const FraQuery& query,
                                                 FraAlgorithm algorithm,
                                                 uint64_t draw,
+                                                uint64_t ticket,
                                                 double* seconds,
                                                 double* cpu_mark) {
   QueryRecord record;
@@ -340,7 +342,7 @@ Result<double> ServiceProvider::ExecuteRecorded(const FraQuery& query,
   RecordQueryMetrics(record);
   cost_ledger_->Record(record);
   MaybeRecordFlight(query, record);
-  if (result.ok()) MaybeAuditAsync(query, algorithm, record, *result);
+  if (result.ok()) MaybeAuditAsync(query, algorithm, record, *result, ticket);
   return result;
 }
 
@@ -374,7 +376,7 @@ Result<double> ServiceProvider::ExecuteCached(const FraQuery& query,
 void ServiceProvider::MaybeAuditAsync(const FraQuery& query,
                                       FraAlgorithm algorithm,
                                       const QueryRecord& record,
-                                      double estimate) {
+                                      double estimate, uint64_t ticket) {
   if (auditor_ == nullptr) return;
   // EXACT/OPTA answers are deterministic replays of themselves — nothing
   // to audit — unless the cache replayed them, in which case the audit
@@ -383,7 +385,7 @@ void ServiceProvider::MaybeAuditAsync(const FraQuery& query,
   const bool deterministic = algorithm == FraAlgorithm::kExact ||
                              algorithm == FraAlgorithm::kOpta;
   if (deterministic && !from_cache) return;
-  if (!auditor_->ShouldAudit()) return;
+  if (!auditor_->ShouldAudit(ticket)) return;
   // Fire-and-forget on the batch pool: the replay's fan-out legs run on
   // the (leaf) fan-out pool, so audits queued from batch workers cannot
   // deadlock. The replay bypasses Execute so the audit traffic never
@@ -757,20 +759,24 @@ Result<std::vector<double>> ServiceProvider::ExecuteBatch(
     std::lock_guard<std::mutex> lock(rng_mu_);
     for (uint64_t& draw : draws) draw = rng_.NextUint64();
   }
+  // Query i's audit ticket is first_ticket + i, for the same reason.
+  const uint64_t first_ticket =
+      next_audit_ticket_.fetch_add(queries.size(), std::memory_order_relaxed);
 
   // One pool task per WORKER, not per query: workers pull the next query
   // off a shared index, so a 10k-query batch costs num_threads() task
   // submissions instead of 10k queue/future round trips.
   std::atomic<size_t> next_query{0};
   const auto worker = [this, &queries, &results, &statuses, &draws,
-                       algorithm, latencies_seconds, &next_query] {
+                       first_ticket, algorithm, latencies_seconds,
+                       &next_query] {
     // One thread-CPU reading per query: each query's record charges from
     // the previous query's closing reading.
     double cpu_mark = ThreadCpuMicros();
     for (size_t i = next_query.fetch_add(1); i < queries.size();
          i = next_query.fetch_add(1)) {
       const Result<double> result = ExecuteRecorded(
-          queries[i], algorithm, draws[i],
+          queries[i], algorithm, draws[i], first_ticket + i,
           latencies_seconds != nullptr ? &(*latencies_seconds)[i] : nullptr,
           &cpu_mark);
       if (result.ok()) {

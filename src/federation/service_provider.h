@@ -104,14 +104,19 @@ class ServiceProvider {
       int max_batch_delay_us = 200;
     };
     CoalescingOptions coalescing;
-    /// Provider-side answer cache (docs/caching.md): an LRU of finalised
-    /// answers keyed on (range, F, algorithm, eps, delta, data epoch).
-    /// SyncGrids bumps the data epoch and clears the LRU. Off by default:
-    /// cached answers refresh on SyncGrids only, a freshness trade the
-    /// deployment must opt into.
+    /// Provider-side answer cache (docs/caching.md): a set-associative
+    /// table of finalised answers keyed on (range, F, algorithm, eps,
+    /// delta, data epoch), read without a lock and evicted by CLOCK.
+    /// SyncGrids bumps the data epoch and clears the table. Off by
+    /// default: cached answers refresh on SyncGrids only, a freshness
+    /// trade the deployment must opt into.
     struct CacheOptions {
       bool enabled = false;
-      /// LRU capacity (answers).
+      /// Most answers held at once. They live in sets of 8 slots chosen
+      /// by key hash, so a full set evicts before the table is full. The
+      /// whole table is allocated and zeroed when the provider is built:
+      /// about 136 bytes per answer of capacity (136 KiB at 1024),
+      /// committed whether or not the cache fills.
       size_t exact_capacity = 1024;
     };
     CacheOptions cache;
@@ -266,14 +271,16 @@ class ServiceProvider {
   /// builds the query's QueryRecord (trace id, labels, status, duration,
   /// cost, silo outcomes), installs it for the query's duration, and
   /// hands the finished record to every consumer — the query metrics,
-  /// the cost ledger, the flight recorder and the audit draw. `*seconds`
-  /// (optional) receives the query's wall-clock duration. `cpu_mark`
-  /// (optional) is the calling thread's running thread-CPU reading, which
-  /// the query's root QueryRecordScope charges from and advances: an
-  /// ExecuteBatch worker passes one, so each of its queries reads the
-  /// clock once, after its timed span.
+  /// the cost ledger, the flight recorder and the audit draw, which
+  /// draws for `ticket` (see next_audit_ticket_). `*seconds` (optional)
+  /// receives the query's wall-clock duration. `cpu_mark` (optional) is
+  /// the calling thread's running thread-CPU reading, which the query's
+  /// root QueryRecordScope charges from and advances: an ExecuteBatch
+  /// worker passes one, so each of its queries reads the clock once,
+  /// after its timed span.
   Result<double> ExecuteRecorded(const FraQuery& query, FraAlgorithm algorithm,
-                                 uint64_t draw, double* seconds = nullptr,
+                                 uint64_t draw, uint64_t ticket,
+                                 double* seconds = nullptr,
                                  double* cpu_mark = nullptr);
 
   /// Cache-aware body of ExecuteRecorded: cache lookup, then the normal
@@ -312,7 +319,8 @@ class ServiceProvider {
   /// audit-eligible even for EXACT/OPTA — staleness is exactly what the
   /// auditor should surface for them.
   void MaybeAuditAsync(const FraQuery& query, FraAlgorithm algorithm,
-                       const QueryRecord& record, double estimate);
+                       const QueryRecord& record, double estimate,
+                       uint64_t ticket);
 
   /// Captures a finished query into the flight recorder when it was slow
   /// or failed: its record plus the query text and — when it was traced
@@ -345,6 +353,9 @@ class ServiceProvider {
   bool started_profiler_ = false;
   // Head-sampling counter behind Options::trace_sample_every_n.
   std::atomic<uint64_t> trace_sample_counter_{0};
+  // Numbers queries in submission order for the audit draw; ExecuteBatch
+  // takes one block per batch, so its workers share no counter for it.
+  std::atomic<uint64_t> next_audit_ticket_{0};
   mutable std::mutex versions_mu_;  // guards silo_data_versions_
   std::map<int, uint64_t> silo_data_versions_;
   std::mutex rng_mu_;

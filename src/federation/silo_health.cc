@@ -38,6 +38,9 @@ void SiloHealthTracker::SetState(int silo_id, SiloRecord& record,
     }
   }
   record.state = state;
+  if (silo_id >= 0 && silo_id < kMirroredSilos) {
+    mirrored_state_[silo_id].store(state, std::memory_order_relaxed);
+  }
   record.state_gauge->Set(static_cast<double>(state));
 }
 
@@ -114,6 +117,9 @@ void SiloHealthTracker::OnSiloCall(int silo_id, const Status& status,
 }
 
 SiloHealthTracker::State SiloHealthTracker::state(int silo_id) const {
+  if (silo_id >= 0 && silo_id < kMirroredSilos) {
+    return mirrored_state_[silo_id].load(std::memory_order_relaxed);
+  }
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = silos_.find(silo_id);
   return it == silos_.end() ? State::kUp : it->second.state;

@@ -1,6 +1,8 @@
 #ifndef FRA_FEDERATION_SILO_HEALTH_H_
 #define FRA_FEDERATION_SILO_HEALTH_H_
 
+#include <array>
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <deque>
@@ -79,12 +81,15 @@ class SiloHealthTracker : public SiloCallObserver {
   /// SiloCallObserver: one completed exchange feeds the state machine.
   void OnSiloCall(int silo_id, const Status& status, double micros) override;
 
-  /// Current state; silos never seen yet report kUp.
+  /// Current state; silos never seen yet report kUp. Silo ids 0-63 are
+  /// read lock-free, from an atomic copy of the state that SetState
+  /// writes under the lock; other ids are read under it.
   State state(int silo_id) const;
 
   /// Whether the sampled algorithms may draw this silo (kUp or
   /// kDegraded — a degraded silo still answers, just unreliably, and
   /// excluding it entirely would bias the Alg. 2 estimator's pool).
+  /// Lock-free like state().
   bool IsSelectable(int silo_id) const;
 
   /// Claims a down silo for one recovery probe: succeeds for at most one
@@ -126,6 +131,10 @@ class SiloHealthTracker : public SiloCallObserver {
   const Options options_;
   mutable std::mutex mu_;
   std::map<int, SiloRecord> silos_;
+  // SetState's last write per silo id below kMirroredSilos (kUp before
+  // any), read by state() without mu_.
+  static constexpr int kMirroredSilos = 64;
+  std::array<std::atomic<State>, kMirroredSilos> mirrored_state_{};
 };
 
 }  // namespace fra

@@ -8,12 +8,17 @@
 namespace fra {
 
 AccuracyAuditor::AccuracyAuditor(const Options& options)
-    : options_(options), rng_(options.seed) {}
+    : options_(options) {}
 
-bool AccuracyAuditor::ShouldAudit() {
-  std::lock_guard<std::mutex> lock(mu_);
-  ++snapshot_.considered;
-  return rng_.NextBernoulli(options_.sample_rate);
+bool AccuracyAuditor::ShouldAudit(uint64_t ticket) {
+  considered_.Increment();
+  constexpr uint64_t kGamma = 0x9E3779B97F4A7C15ULL;
+  uint64_t z = options_.seed + (ticket + 1) * kGamma;
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+  z ^= z >> 31;
+  // The top 53 bits as a uniform double in [0, 1).
+  return static_cast<double>(z >> 11) * 0x1.0p-53 < options_.sample_rate;
 }
 
 double AccuracyAuditor::RelativeError(double estimate, double exact) {
@@ -67,6 +72,7 @@ void AccuracyAuditor::RecordFailure(const std::string& algorithm) {
 AccuracyAuditor::Snapshot AccuracyAuditor::snapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
   Snapshot out = snapshot_;
+  out.considered = considered_.Value();
   out.mean_relative_error =
       out.audited > 0 ? total_relative_error_ /
                             static_cast<double>(out.audited)

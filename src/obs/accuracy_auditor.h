@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "util/metrics.h"
-#include "util/random.h"
 
 namespace fra {
 
@@ -16,7 +15,7 @@ namespace fra {
 /// and this is the component that checks the promise holds in
 /// production, not just in the offline evaluation.
 ///
-/// The provider consults ShouldAudit() after each successful approximate
+/// The provider consults ShouldAudit after each successful approximate
 /// query; for the sampled fraction it re-executes the query EXACT in the
 /// background and feeds both answers to Record(), which
 ///   - observes |est - exact| / max(|exact|, 1) into the
@@ -27,6 +26,12 @@ namespace fra {
 /// The auditor holds no query machinery itself — it only decides, scores
 /// and counts — so it lives in the obs layer and the federation supplies
 /// the exact re-execution. Thread safe.
+///
+/// The audit draw runs on every eligible query, so it writes nothing
+/// that threads share: it is a pure function of the seed and a ticket
+/// the caller numbers the query with, and `considered` is a striped
+/// Counter. The scoring side (Record, RecordFailure) runs only for
+/// audited queries and keeps a mutex.
 class AccuracyAuditor {
  public:
   struct Options {
@@ -48,8 +53,12 @@ class AccuracyAuditor {
   AccuracyAuditor() : AccuracyAuditor(Options{}) {}
   explicit AccuracyAuditor(const Options& options);
 
-  /// One Bernoulli(sample_rate) draw per eligible query.
-  bool ShouldAudit();
+  /// One Bernoulli(sample_rate) draw per eligible query: SplitMix64's
+  /// `ticket`-th output for the seed, so distinct tickets draw
+  /// independently. The provider numbers its queries in submission
+  /// order, so which queries are audited does not depend on which worker
+  /// ran them. Lock-free.
+  bool ShouldAudit(uint64_t ticket);
 
   /// Scores one audited query. `epsilon` is the guarantee the estimate
   /// was produced under.
@@ -70,8 +79,8 @@ class AccuracyAuditor {
 
  private:
   const Options options_;
-  mutable std::mutex mu_;
-  Rng rng_;
+  Counter considered_;
+  mutable std::mutex mu_;  // guards snapshot_ and total_relative_error_
   Snapshot snapshot_;
   double total_relative_error_ = 0.0;
 };

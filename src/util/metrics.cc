@@ -1,6 +1,7 @@
 #include "util/metrics.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <sstream>
@@ -121,7 +122,7 @@ const char* BuiltinHelp(const std::string& name) {
        "Capacity in bytes currently parked on pool freelists"},
       {"fra_bufpool_releases_total",
        "Buffer-pool releases by result (pooled=kept, discarded=freed)"},
-      {"fra_cache_evictions_total", "Provider cache LRU evictions by layer"},
+      {"fra_cache_evictions_total", "Provider cache evictions by layer"},
       {"fra_cache_hits_total", "Provider cache hits by layer"},
       {"fra_cache_invalidations_total",
        "Cached answers dropped by data-epoch bumps, by layer"},
@@ -223,34 +224,67 @@ std::string LabelKey(const MetricLabels& sorted) {
 
 }  // namespace
 
+// --- Stripes -----------------------------------------------------------------
+
+size_t metrics_internal::NextStripe() {
+  static std::atomic<size_t> next{0};
+  return next.fetch_add(1, std::memory_order_relaxed) % kMetricStripes;
+}
+
 // --- Histogram -------------------------------------------------------------
 
 Histogram::Histogram(std::vector<double> bounds)
     : bounds_(std::move(bounds)),
-      buckets_(new std::atomic<uint64_t>[bounds_.size() + 1]) {
+      lines_per_stripe_((kFirstBucketWord + bounds_.size() + 1 +
+                         kWordsPerLine - 1) /
+                        kWordsPerLine),
+      lines_(new Line[kMetricStripes * lines_per_stripe_]) {
   FRA_CHECK(!bounds_.empty()) << "histogram needs at least one bucket bound";
   FRA_CHECK(std::is_sorted(bounds_.begin(), bounds_.end()))
       << "histogram bounds must be increasing";
-  for (size_t i = 0; i <= bounds_.size(); ++i) buckets_[i].store(0);
 }
 
 void Histogram::Observe(double value) {
   const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), value);
   const size_t bucket = static_cast<size_t>(it - bounds_.begin());
-  buckets_[bucket].fetch_add(1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
-  double sum = sum_.load(std::memory_order_relaxed);
-  while (!sum_.compare_exchange_weak(sum, sum + value,
-                                     std::memory_order_relaxed)) {
+  const size_t stripe = MetricStripe();
+  Word(stripe, kFirstBucketWord + bucket)
+      .fetch_add(1, std::memory_order_relaxed);
+  std::atomic<uint64_t>& sum = Word(stripe, kSumWord);
+  uint64_t bits = sum.load(std::memory_order_relaxed);
+  while (!sum.compare_exchange_weak(
+      bits, std::bit_cast<uint64_t>(std::bit_cast<double>(bits) + value),
+      std::memory_order_relaxed)) {
   }
 }
 
-double Histogram::Sum() const { return sum_.load(std::memory_order_relaxed); }
+uint64_t Histogram::Count() const {
+  uint64_t total = 0;
+  for (size_t stripe = 0; stripe < kMetricStripes; ++stripe) {
+    for (size_t i = 0; i <= bounds_.size(); ++i) {
+      total += Word(stripe, kFirstBucketWord + i)
+                   .load(std::memory_order_relaxed);
+    }
+  }
+  return total;
+}
+
+double Histogram::Sum() const {
+  double total = 0.0;
+  for (size_t stripe = 0; stripe < kMetricStripes; ++stripe) {
+    total += std::bit_cast<double>(
+        Word(stripe, kSumWord).load(std::memory_order_relaxed));
+  }
+  return total;
+}
 
 std::vector<uint64_t> Histogram::BucketCounts() const {
   std::vector<uint64_t> counts(bounds_.size() + 1);
-  for (size_t i = 0; i < counts.size(); ++i) {
-    counts[i] = buckets_[i].load(std::memory_order_relaxed);
+  for (size_t stripe = 0; stripe < kMetricStripes; ++stripe) {
+    for (size_t i = 0; i < counts.size(); ++i) {
+      counts[i] += Word(stripe, kFirstBucketWord + i)
+                       .load(std::memory_order_relaxed);
+    }
   }
   return counts;
 }
@@ -284,9 +318,11 @@ double Histogram::Quantile(double q) const {
 }
 
 void Histogram::Reset() {
-  for (size_t i = 0; i <= bounds_.size(); ++i) buckets_[i].store(0);
-  count_.store(0);
-  sum_.store(0.0);
+  for (size_t line = 0; line < kMetricStripes * lines_per_stripe_; ++line) {
+    for (std::atomic<uint64_t>& word : lines_[line].words) {
+      word.store(0, std::memory_order_relaxed);
+    }
+  }
 }
 
 const std::vector<double>& Histogram::DefaultLatencyBucketsMicros() {

@@ -1,7 +1,9 @@
 #ifndef FRA_UTIL_METRICS_H_
 #define FRA_UTIL_METRICS_H_
 
+#include <array>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -17,17 +19,50 @@ namespace fra {
 /// permutations of the same labels address the same instance.
 using MetricLabels = std::vector<std::pair<std::string, std::string>>;
 
-/// Monotonically increasing counter. Updates are lock-free.
+/// Counters and histograms are striped: an update lands in one of
+/// kMetricStripes cache-line-padded stripes, the one this thread was
+/// handed on its first update (round robin), and a read sums the
+/// stripes. Up to kMetricStripes threads therefore update without
+/// sharing a cache line; beyond that, threads share stripes, so a
+/// stripe's update stays an atomic read-modify-write.
+inline constexpr size_t kMetricStripes = 16;
+inline constexpr size_t kCacheLineBytes = 64;
+
+namespace metrics_internal {
+size_t NextStripe();
+}  // namespace metrics_internal
+
+/// This thread's stripe, in [0, kMetricStripes).
+inline size_t MetricStripe() {
+  static thread_local const size_t stripe = metrics_internal::NextStripe();
+  return stripe;
+}
+
+/// Monotonically increasing counter. Updates are lock-free and touch
+/// only this thread's stripe; Value() sums the stripes.
 class Counter {
  public:
   void Increment(uint64_t n = 1) {
-    value_.fetch_add(n, std::memory_order_relaxed);
+    stripes_[MetricStripe()].value.fetch_add(n, std::memory_order_relaxed);
   }
-  uint64_t Value() const { return value_.load(std::memory_order_relaxed); }
-  void Reset() { value_.store(0, std::memory_order_relaxed); }
+  uint64_t Value() const {
+    uint64_t total = 0;
+    for (const Stripe& stripe : stripes_) {
+      total += stripe.value.load(std::memory_order_relaxed);
+    }
+    return total;
+  }
+  void Reset() {
+    for (Stripe& stripe : stripes_) {
+      stripe.value.store(0, std::memory_order_relaxed);
+    }
+  }
 
  private:
-  std::atomic<uint64_t> value_{0};
+  struct alignas(kCacheLineBytes) Stripe {
+    std::atomic<uint64_t> value{0};
+  };
+  std::array<Stripe, kMetricStripes> stripes_;
 };
 
 /// Last-written value (silo count, index memory, ...). Lock-free.
@@ -50,9 +85,11 @@ class Gauge {
 /// Fixed-bucket latency histogram. Observations land in the first bucket
 /// whose upper bound is >= the value (cumulative counts, Prometheus
 /// semantics); an implicit +Inf bucket catches the rest. Updates are
-/// lock-free; quantiles are estimated by linear interpolation inside the
-/// covering bucket, so their resolution is one bucket width (see
-/// docs/observability.md for the error bound).
+/// lock-free and touch only this thread's stripe (sum and buckets);
+/// reads sum the stripes in stripe order. Quantiles are
+/// estimated by linear interpolation inside the covering bucket, so their
+/// resolution is one bucket width (see docs/observability.md for the
+/// error bound).
 class Histogram {
  public:
   /// `bounds` must be strictly increasing upper bounds (excluding +Inf).
@@ -60,7 +97,7 @@ class Histogram {
 
   void Observe(double value);
 
-  uint64_t Count() const { return count_.load(std::memory_order_relaxed); }
+  uint64_t Count() const;
   double Sum() const;
   double Mean() const {
     const uint64_t n = Count();
@@ -82,10 +119,22 @@ class Histogram {
   static const std::vector<double>& DefaultLatencyBucketsMicros();
 
  private:
+  // A stripe is whole cache lines of 64-bit words: word 0 the sum's
+  // bits, then one word per bucket (the count is the buckets' sum).
+  static constexpr size_t kSumWord = 0;
+  static constexpr size_t kFirstBucketWord = 1;
+  static constexpr size_t kWordsPerLine = kCacheLineBytes / sizeof(uint64_t);
+  struct alignas(kCacheLineBytes) Line {
+    std::array<std::atomic<uint64_t>, kWordsPerLine> words{};
+  };
+  std::atomic<uint64_t>& Word(size_t stripe, size_t word) const {
+    return lines_[stripe * lines_per_stripe_ + word / kWordsPerLine]
+        .words[word % kWordsPerLine];
+  }
+
   std::vector<double> bounds_;
-  std::unique_ptr<std::atomic<uint64_t>[]> buckets_;  // bounds_.size() + 1
-  std::atomic<uint64_t> count_{0};
-  std::atomic<double> sum_{0.0};
+  size_t lines_per_stripe_;
+  std::unique_ptr<Line[]> lines_;  // kMetricStripes * lines_per_stripe_
 };
 
 /// Thread-safe registry of named, labeled metrics with Prometheus-text

@@ -58,21 +58,24 @@ uint64_t ExactInvalidations() {
 
 // --- Standalone cache -----------------------------------------------------
 
-// A distinct key per name, for the standalone LRU cases.
+// A distinct key per name, for the standalone cases.
 AnswerKey Key(char name) {
   AnswerKey key;
   key.words[0] = static_cast<uint64_t>(name);
   return key;
 }
 
-TEST(AnswerCacheTest, HitMissAndLruEviction) {
+// Capacity 2 is one set of two slots, so every key competes for them.
+// CLOCK second chance keeps the sequence an LRU would: a hit sets "a"'s
+// reference bit, so the hand clears it and evicts "b".
+TEST(AnswerCacheTest, HitMissAndClockSecondChanceEviction) {
   AnswerCache::Options options;
   options.capacity = 2;
   AnswerCache cache(options);
   EXPECT_FALSE(cache.Lookup(Key('a')).has_value());
   cache.Insert(Key('a'), 1.0);
   cache.Insert(Key('b'), 2.0);
-  EXPECT_EQ(cache.Lookup(Key('a')).value(), 1.0);  // touches "a": "b" is LRU
+  EXPECT_EQ(cache.Lookup(Key('a')).value(), 1.0);  // references "a"
   cache.Insert(Key('c'), 3.0);                     // evicts "b"
   EXPECT_FALSE(cache.Lookup(Key('b')).has_value());
   EXPECT_EQ(cache.Lookup(Key('a')).value(), 1.0);
@@ -85,6 +88,113 @@ TEST(AnswerCacheTest, HitMissAndLruEviction) {
   EXPECT_EQ(cache.Clear(), 2UL);
   EXPECT_EQ(cache.size(), 0UL);
   EXPECT_FALSE(cache.Lookup(Key('a')).has_value());
+}
+
+// Lookup, then Insert on a miss, as the provider does; returns whether
+// the lookup missed.
+bool Touch(AnswerCache& cache, const AnswerKey& key, double value) {
+  if (cache.Lookup(key).has_value()) return false;
+  cache.Insert(key, value);
+  return true;
+}
+
+// Capacity 8 is one full set. Once its eight answers have been hit, a
+// stream of one-off keys churns the one slot the hand stays on: after
+// kPassEvery - 1 of them the other seven answers all still hit, where an
+// LRU or a hand that always moved past would have evicted all seven.
+TEST(AnswerCacheTest, OneOffKeysChurnOneSlot) {
+  AnswerCache::Options options;
+  options.capacity = AnswerCache::kWays;
+  AnswerCache cache(options);
+  for (char name = 'A'; name < 'A' + 8; ++name) {
+    cache.Insert(Key(name), static_cast<double>(name));
+  }
+  for (char name = 'A'; name < 'A' + 8; ++name) {
+    ASSERT_TRUE(cache.Lookup(Key(name)).has_value());
+  }
+  for (size_t i = 0; i + 1 < AnswerCache::kPassEvery; ++i) {
+    EXPECT_TRUE(Touch(cache, Key(static_cast<char>('a' + i)), 0.0));
+  }
+  // The first one-off took the slot of "A", where the hand started.
+  EXPECT_FALSE(cache.Lookup(Key('A')).has_value());
+  for (char name = 'B'; name < 'A' + 8; ++name) {
+    EXPECT_EQ(cache.Lookup(Key(name)), static_cast<double>(name)) << name;
+  }
+}
+
+// Answers no hit references age out even when every miss brings a new
+// key. With "a" and "b" held unreferenced, alternating misses on "c" and
+// "d" churn one slot until the hand moves past a new answer, within
+// kPassEvery evictions; the next miss then evicts "b", and "c" and "d"
+// hit from then on. (An LRU would miss each once.)
+TEST(AnswerCacheTest, UnreferencedAnswersAgeOutUnderAlternatingMisses) {
+  AnswerCache::Options options;
+  options.capacity = 2;
+  AnswerCache cache(options);
+  cache.Insert(Key('a'), 1.0);
+  cache.Insert(Key('b'), 2.0);
+  size_t misses = 0;
+  for (int round = 0; round < 50; ++round) {
+    misses += Touch(cache, Key('c'), 3.0);
+    misses += Touch(cache, Key('d'), 4.0);
+  }
+  EXPECT_LE(misses, AnswerCache::kPassEvery + 1);
+  EXPECT_EQ(cache.counters().evictions, misses);
+  EXPECT_EQ(cache.Lookup(Key('c')), 3.0);
+  EXPECT_EQ(cache.Lookup(Key('d')), 4.0);
+  EXPECT_FALSE(cache.Lookup(Key('a')).has_value());
+  EXPECT_FALSE(cache.Lookup(Key('b')).has_value());
+}
+
+// Capacity 8 is one full set. A loop over six new keys, against eight
+// answers that are never looked up again, takes the set over within a
+// bounded number of misses (41 here; the bound is 6 * (kPassEvery + 1))
+// and then only hits. A hand that always stayed on the new answer would
+// churn one slot and miss forever.
+TEST(AnswerCacheTest, AWorkingSetThatMovesTakesTheSetOver) {
+  AnswerCache::Options options;
+  options.capacity = AnswerCache::kWays;
+  AnswerCache cache(options);
+  for (char name = 'A'; name < 'A' + 8; ++name) cache.Insert(Key(name), 0.0);
+  size_t misses = 0;
+  for (int pass = 0; pass < 40; ++pass) {
+    for (char name = '0'; name < '6'; ++name) {
+      misses += Touch(cache, Key(name), static_cast<double>(name));
+    }
+  }
+  EXPECT_LE(misses, 6 * (AnswerCache::kPassEvery + 1)) << misses;
+  for (char name = '0'; name < '6'; ++name) {
+    EXPECT_EQ(cache.Lookup(Key(name)), static_cast<double>(name));
+  }
+  EXPECT_EQ(cache.size(), 8UL);
+}
+
+// The sets' slot counts add up to the capacity exactly: 1000 is 125 full
+// sets of 8, and 1001 is 126 sets, 119 of 8 slots and 7 of 7. Neither
+// ever holds more than its capacity, each ends full after 5000 distinct
+// keys, and every new key past a full set evicts exactly one answer.
+TEST(AnswerCacheTest, CapacityBoundsTheTableWhateverTheSetSizes) {
+  for (const size_t capacity : {size_t{1000}, size_t{1001}}) {
+    AnswerCache::Options options;
+    options.capacity = capacity;
+    AnswerCache cache(options);
+    constexpr uint64_t kInserts = 5000;
+    for (uint64_t i = 0; i < kInserts; ++i) {
+      AnswerKey key;
+      key.words[1] = i;
+      key.words[7] = i * 31 + 7;
+      cache.Insert(key, static_cast<double>(i));
+      ASSERT_LE(cache.size(), capacity) << "after " << i + 1 << " inserts";
+    }
+    EXPECT_EQ(cache.size(), capacity);
+    EXPECT_EQ(cache.counters().evictions, kInserts - cache.size());
+    // The last key inserted is always still held.
+    AnswerKey last;
+    last.words[1] = kInserts - 1;
+    last.words[7] = (kInserts - 1) * 31 + 7;
+    EXPECT_EQ(cache.Lookup(last), static_cast<double>(kInserts - 1));
+    EXPECT_EQ(cache.Clear(), capacity);
+  }
 }
 
 TEST(ProviderCacheTest, KeyDependsOnEveryComponent) {

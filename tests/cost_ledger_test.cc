@@ -9,9 +9,12 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
+#include "agg/aggregate.h"
+#include "federation/query.h"
 #include "federation/service_provider.h"
 #include "federation/silo.h"
 #include "net/network.h"
@@ -153,6 +156,50 @@ TEST(QueryCostLedgerTest, RollsUpPerKeyAndRendersJson) {
   EXPECT_NE(json.find("\"algorithm\""), std::string::npos);
   EXPECT_NE(json.find("\"FRA\""), std::string::npos);
   EXPECT_NE(json.find("\"silo_rpcs\""), std::string::npos);
+}
+
+// Every label value the library records fits the ledger's fixed table:
+// each FraAlgorithm and AggregateKind name, found by walking the enum up
+// to the "UNKNOWN" its string function returns past the last value, plus
+// that "UNKNOWN", under each cache outcome. A new enum value that would
+// overflow a dimension fails here rather than on the query path.
+TEST(QueryCostLedgerTest, EveryLibraryLabelValueFitsTheTable) {
+  std::vector<std::string_view> algorithms;
+  for (int i = 0; i < 256; ++i) {
+    algorithms.push_back(FraAlgorithmToString(static_cast<FraAlgorithm>(i)));
+    if (algorithms.back() == "UNKNOWN") break;
+  }
+  std::vector<std::string_view> aggregates;
+  for (int i = 0; i < 256; ++i) {
+    aggregates.push_back(AggregateKindToString(static_cast<AggregateKind>(i)));
+    if (aggregates.back() == "UNKNOWN") break;
+  }
+  const std::vector<std::string_view> caches = {"off", "miss", "hit"};
+  ASSERT_EQ(algorithms.back(), "UNKNOWN");
+  ASSERT_EQ(aggregates.back(), "UNKNOWN");
+  ASSERT_LE(algorithms.size(), QueryCostLedger::kMaxAlgorithms);
+  ASSERT_LE(aggregates.size(), QueryCostLedger::kMaxAggregates);
+  ASSERT_LE(caches.size(), QueryCostLedger::kMaxCacheOutcomes);
+
+  QueryCostLedger ledger;
+  QueryRecord record;
+  for (const std::string_view algorithm : algorithms) {
+    for (const std::string_view aggregate : aggregates) {
+      for (const std::string_view cache : caches) {
+        record.algorithm = algorithm;
+        record.aggregate = aggregate;
+        record.cache = cache;
+        ledger.Record(record);
+      }
+    }
+  }
+  const std::vector<QueryCostLedger::Rollup> rollups = ledger.Snapshot();
+  EXPECT_EQ(rollups.size(),
+            algorithms.size() * aggregates.size() * caches.size());
+  for (const QueryCostLedger::Rollup& rollup : rollups) {
+    EXPECT_EQ(rollup.queries, 1UL)
+        << rollup.algorithm << " " << rollup.aggregate << " " << rollup.cache;
+  }
 }
 
 TEST(QueryCostLedgerTest, FederationQueryCostMatchesWireTruth) {

@@ -12,6 +12,7 @@
 #include <cstdlib>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "net/message.h"
@@ -36,6 +37,117 @@ TEST(CounterTest, ConcurrentIncrementsAllLand) {
   }
   for (auto& thread : threads) thread.join();
   EXPECT_EQ(counter.Value(), static_cast<uint64_t>(kThreads) * kIncrements);
+}
+
+// More threads than stripes, so every stripe is written (threads take
+// stripes round robin) and some are shared: the reads still sum every
+// update exactly, and Reset leaves no stripe holding an old value.
+TEST(StripedMetricsTest, StripesSumExactlyAndResetZeroesEveryStripe) {
+  Counter counter;
+  Histogram histogram({1.0, 2.0, 4.0});
+  constexpr int kThreads = 2 * static_cast<int>(kMetricStripes) + 3;
+  const auto run_threads = [&](int increment) {
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        for (int i = 0; i < 100; ++i) {
+          counter.Increment(static_cast<uint64_t>(increment + t));
+          histogram.Observe(0.5 * static_cast<double>(t % 8));
+        }
+      });
+    }
+    for (auto& thread : threads) thread.join();
+  };
+  // Sum over threads of 100 * (increment + t), and of 100 * 0.5 * (t % 8):
+  // every partial sum is a multiple of 0.5, so it is exact in a double.
+  const auto expected_count = [&](int increment) {
+    uint64_t total = 0;
+    for (int t = 0; t < kThreads; ++t) total += 100u * (increment + t);
+    return total;
+  };
+  double expected_sum = 0.0;
+  for (int t = 0; t < kThreads; ++t) expected_sum += 50.0 * (t % 8);
+
+  run_threads(1);
+  EXPECT_EQ(counter.Value(), expected_count(1));
+  EXPECT_EQ(histogram.Count(), 100UL * kThreads);
+  EXPECT_EQ(histogram.Sum(), expected_sum);
+  uint64_t bucket_total = 0;
+  for (uint64_t c : histogram.BucketCounts()) bucket_total += c;
+  EXPECT_EQ(bucket_total, 100UL * kThreads);
+
+  counter.Reset();
+  histogram.Reset();
+  EXPECT_EQ(counter.Value(), 0UL);
+  EXPECT_EQ(histogram.Count(), 0UL);
+  EXPECT_EQ(histogram.Sum(), 0.0);
+  for (uint64_t c : histogram.BucketCounts()) EXPECT_EQ(c, 0UL);
+
+  run_threads(5);
+  EXPECT_EQ(counter.Value(), expected_count(5));
+  EXPECT_EQ(histogram.Count(), 100UL * kThreads);
+  EXPECT_EQ(histogram.Sum(), expected_sum);
+}
+
+// One thread's updates land in one stripe and are summed in the order
+// they came, so this fixed sequence exports the text, and the sums the
+// bits, that the unstriped registry (one atomic per value) exported.
+TEST(StripedMetricsTest, SingleThreadExportMatchesTheUnstripedRegistry) {
+  MetricsRegistry registry;
+  Counter& ok = registry.GetCounter(
+      "fra_queries_total", {{"algorithm", "EXACT"}, {"result", "ok"}});
+  Counter& error = registry.GetCounter(
+      "fra_queries_total", {{"algorithm", "EXACT"}, {"result", "error"}});
+  registry.GetGauge("fra_federation_silos").Set(6);
+  Histogram& latency = registry.GetHistogram(
+      "fra_query_latency_microseconds", {{"algorithm", "EXACT"}});
+  Histogram& small =
+      registry.GetHistogram("h_us", {{"k", "v"}}, {0.25, 0.5, 1.0});
+  for (int i = 0; i < 1000; ++i) {
+    (i % 7 == 0 ? error : ok).Increment();
+    latency.Observe(0.1 * i + 0.3);
+    small.Observe(0.1 * (i % 13));
+  }
+  ok.Increment(5);
+  std::string expected =
+      "# HELP fra_federation_silos Silos registered with the provider\n"
+      "# TYPE fra_federation_silos gauge\n"
+      "fra_federation_silos 6\n"
+      "# HELP fra_queries_total FRA queries executed by algorithm and "
+      "result\n"
+      "# TYPE fra_queries_total counter\n"
+      "fra_queries_total{algorithm=\"EXACT\",result=\"error\"} 143\n"
+      "fra_queries_total{algorithm=\"EXACT\",result=\"ok\"} 862\n"
+      "# HELP fra_query_latency_microseconds End-to-end FRA query latency "
+      "by algorithm\n"
+      "# TYPE fra_query_latency_microseconds histogram\n";
+  const std::vector<std::pair<const char*, int>> latency_buckets = {
+      {"1", 8},           {"2.5", 23},        {"5", 48},
+      {"10", 97},         {"25", 247},        {"50", 498},
+      {"100", 998},       {"250", 1000},      {"500", 1000},
+      {"1000", 1000},     {"2500", 1000},     {"5000", 1000},
+      {"10000", 1000},    {"25000", 1000},    {"50000", 1000},
+      {"100000", 1000},   {"250000", 1000},   {"500000", 1000},
+      {"1000000", 1000},  {"2500000", 1000},  {"+Inf", 1000}};
+  for (const auto& [le, count] : latency_buckets) {
+    expected += std::string("fra_query_latency_microseconds_bucket{algorithm="
+                            "\"EXACT\",le=\"") +
+                le + "\"} " + std::to_string(count) + "\n";
+  }
+  expected +=
+      "fra_query_latency_microseconds_sum{algorithm=\"EXACT\"} 50250\n"
+      "fra_query_latency_microseconds_count{algorithm=\"EXACT\"} 1000\n"
+      "# TYPE h_us histogram\n"
+      "h_us_bucket{k=\"v\",le=\"0.25\"} 231\n"
+      "h_us_bucket{k=\"v\",le=\"0.5\"} 462\n"
+      "h_us_bucket{k=\"v\",le=\"1\"} 847\n"
+      "h_us_bucket{k=\"v\",le=\"+Inf\"} 1000\n"
+      "h_us_sum{k=\"v\"} 599.4\n"
+      "h_us_count{k=\"v\"} 1000\n";
+  EXPECT_EQ(registry.ExportPrometheus(), expected);
+  // The exposition rounds sums to six digits; the bits match too.
+  EXPECT_EQ(latency.Sum(), 0x1.8893fffffffffp+15);
+  EXPECT_EQ(small.Sum(), 0x1.2bb333333333bp+9);
 }
 
 TEST(GaugeTest, ConcurrentAddsAllLand) {
